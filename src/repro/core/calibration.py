@@ -30,10 +30,21 @@ from .nlj import prefetch_nlj
 from .tensor_join import tensor_join
 
 
+#: Timed repeats per measurement.  Each callable first runs once untimed
+#: (first-touch allocation, BLAS thread start-up), then the fastest of
+#: these repeats is kept: interference from other load only ever adds
+#: time, so the minimum is the most stable estimate of the machine's cost.
+_REPEATS = 5
+
+
 def _time(fn) -> float:
-    start = time.perf_counter()
     fn()
-    return time.perf_counter() - start
+    best = float("inf")
+    for _ in range(_REPEATS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 @dataclass
@@ -106,7 +117,8 @@ def calibrate(
         queries = rng.standard_normal((16, index.dim)).astype(np.float32)
         before = index.stats.distance_computations
         elapsed = _time(lambda: index.search_batch(queries, 8))
-        distances = index.stats.distance_computations - before
+        calls = 1 + _REPEATS
+        distances = (index.stats.distance_computations - before) / calls
         if distances > 0:
             probe_s = elapsed / distances
 

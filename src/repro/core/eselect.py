@@ -131,6 +131,22 @@ def exact_topk_select(
     return ids, scores
 
 
+def topk_completeness_floor(
+    normalized: np.ndarray,
+    candidates: np.ndarray,
+    qvec: np.ndarray,
+    k: int,
+):
+    """The k-th best exact score among ``candidates``, less the margin.
+
+    A row whose approximate score is below this cannot reach the exact
+    top-k, so every row at or above it forms a provable top-k superset.
+    """
+    exact = stable_dot_scores(normalized[candidates], qvec)
+    kth = np.sort(exact)[::-1][min(k, len(exact)) - 1]
+    return kth - PRESCREEN_MARGIN
+
+
 def eselect(
     relation,
     query,
@@ -179,9 +195,10 @@ def eselect(
             # Widen to a provable superset: any row whose exact score can
             # tie or beat the running k-th best has approximate score
             # within the margin of it.
-            exact_cand = stable_dot_scores(normalized[candidates], qvec)
-            kth = np.sort(exact_cand)[::-1][min(condition.k, len(exact_cand)) - 1]
-            candidates = np.nonzero(approx >= kth - PRESCREEN_MARGIN)[0]
+            floor = topk_completeness_floor(
+                normalized, candidates, qvec, condition.k
+            )
+            candidates = np.nonzero(approx >= floor)[0]
         ids, scores = exact_topk_select(
             normalized,
             candidates,

@@ -18,11 +18,10 @@ quantization.  The join becomes a two-phase scan:
    contain every true match (the quantizer's error bound makes the
    approximate filter sound).
 
-Left blocks are independent tasks, so a multi-threaded
-:class:`~repro.engine.ExecutionEngine` schedules them exactly like the
-fp32 tensor join, with the budget split across concurrently resident
-blocks and each block's candidate pool bounded by a compress-on-overflow
-cap.
+Left blocks run through the same driver as the fp32 tensor join
+(:func:`~repro.vector.scan.run_left_blocks`), with the budget split across
+concurrently resident blocks and each block's candidate pool bounded by a
+compress-on-overflow cap.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from ..engine import BatchPolicy, ExecutionEngine
 from ..errors import DimensionalityError, JoinError
 from ..vector.norms import normalize_rows
 from ..vector.quant import Int8Quantizer, ProductQuantizer, VectorQuantizer
+from ..vector.scan import BlockPart, join_parts, run_left_blocks
 from .conditions import (
     JoinCondition,
     ThresholdCondition,
@@ -228,27 +228,6 @@ class QuantizedRelation:
         return 2 * candidates_per_row * CANDIDATE_BYTES
 
 
-@dataclass
-class _QuantBlockPart:
-    """One left block's re-ranked matches plus its counters."""
-
-    left_ids: np.ndarray
-    right_ids: np.ndarray
-    scores: np.ndarray
-    similarity_evaluations: int = 0
-    batch_invocations: int = 0
-    peak_intermediate_bytes: int = 0
-    rerank_candidates: int = 0
-
-
-def _empty_part() -> _QuantBlockPart:
-    return _QuantBlockPart(
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.float32),
-    )
-
-
 def _rank_within_rows(
     li: np.ndarray, sc: np.ndarray, ri: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -434,10 +413,10 @@ def _quant_topk_block(
     condition: TopKCondition,
     br: int,
     ck: int,
-) -> _QuantBlockPart:
+) -> BlockPart:
     n_lb = lb.shape[0]
     n_right = len(store)
-    part = _empty_part()
+    part = BlockPart()
     prepared = store.prepare_queries(lb)
     pool = _CandidatePool(n_lb, ck)
     gates = _sample_gates(store, prepared, ck, br)
@@ -479,9 +458,9 @@ def _quant_threshold_block(
     condition: ThresholdCondition,
     br: int,
     margin: float,
-) -> _QuantBlockPart:
+) -> BlockPart:
     n_right = len(store)
-    part = _empty_part()
+    part = BlockPart()
     prepared = store.prepare_queries(lb)
     # Scan scores omit the per-query bias, so the sound cut-off
     # ``threshold - margin`` shifts per row; the scalar prescreen uses the
@@ -630,75 +609,17 @@ def quantized_tensor_join(
         ck = 0
         margin = store.quantizer.score_error_bound()
     stats.extra["candidate_multiple"] = rerank_multiple
-
     reserve = store.reserve_bytes_per_query(ck)
-    if engine is not None:
-        policy = engine.policy
-    elif policy is None:
-        policy = BatchPolicy(
-            buffer_budget_bytes=config.default_buffer_budget_bytes
-        )
-    full_budget = (
-        policy.buffer_budget_bytes
-        if buffer_budget_bytes is None
-        else buffer_budget_bytes
-    )
 
-    def _resolve(share: int) -> tuple[int, int]:
-        eff = None if full_budget is None else max(full_budget // share, 1)
-        bl_explicit = batch_left
-        if bl_explicit is None and eff is not None:
-            # Two self-imposed caps: spend at most half the budget on
-            # per-row scan state (PQ LUT rows are large), and keep left
-            # blocks moderate so right blocks grow wide — code-cast and
-            # per-group selection overheads amortize over block width.
-            cap = eff // (2 * reserve) if reserve > 4 else stats.n_left
-            bl_explicit = max(
-                1, min(stats.n_left, cap, _QUANT_LEFT_EDGE)
-            )
-        bl, br = policy.resolve(
-            stats.n_left,
-            stats.n_right,
-            left_n.shape[1],
-            batch_left=bl_explicit,
-            batch_right=batch_right,
-            buffer_budget_bytes=eff,
-            reserve_bytes_per_left_row=reserve,
-        )
-        if (
-            engine is not None
-            and engine.n_threads > 1
-            and batch_left is None
-            and bl >= stats.n_left
-        ):
-            morsels = engine.morsels_for(stats.n_left)
-            if len(morsels) > 1:
-                bl = max(len(m) for m in morsels)
-        return bl, br
+    def left_edge(eff: int) -> int:
+        # Two self-imposed caps: spend at most half the budget on per-row
+        # scan state (PQ LUT rows are large), and keep left blocks
+        # moderate so right blocks grow wide — code-cast and per-group
+        # selection overheads amortize over block width.
+        cap = eff // (2 * reserve) if reserve > 4 else stats.n_left
+        return max(1, min(stats.n_left, cap, _QUANT_LEFT_EDGE))
 
-    if engine is not None and engine.n_threads > 1:
-        share = 1
-        for _ in range(8):
-            bl, br = _resolve(share)
-            blocks = -(-stats.n_left // bl)
-            new_share = min(engine.n_threads, blocks)
-            if new_share <= share:
-                break
-            share = new_share
-        else:
-            bl, br = _resolve(engine.n_threads)
-    else:
-        bl, br = _resolve(1)
-    stats.peak_buffer_elements = bl * br
-    stats.extra["batch_shape"] = (bl, br)
-
-    bounds = [
-        (l0, min(l0 + bl, stats.n_left))
-        for l0 in range(0, stats.n_left, bl)
-    ]
-
-    def block_task(span: tuple[int, int]) -> _QuantBlockPart:
-        l0, l1 = span
+    def block(l0: int, l1: int, br: int) -> BlockPart:
         if isinstance(condition, TopKCondition):
             return _quant_topk_block(
                 left_n[l0:l1], l0, store, condition, br, ck
@@ -708,35 +629,14 @@ def quantized_tensor_join(
             left_n[l0:l1], l0, store, condition, br, margin
         )
 
-    if engine is None or engine.n_threads == 1 or len(bounds) == 1:
-        parts = [block_task(span) for span in bounds]
-    else:
-        parts = engine.run(
-            [lambda span=span: block_task(span) for span in bounds]
-        )
-
-    rerank_total = 0
-    for part in parts:
-        stats.similarity_evaluations += part.similarity_evaluations
-        stats.batch_invocations += part.batch_invocations
-        rerank_total += part.rerank_candidates
-        stats.extra["peak_intermediate_bytes"] = max(
-            stats.extra.get("peak_intermediate_bytes", 0),
-            part.peak_intermediate_bytes,
-        )
-    stats.extra["rerank_candidates"] = rerank_total
-    populated = [p for p in parts if len(p.left_ids)]
-    if not populated:
-        result = JoinResult.empty(stats)
-    else:
-        result = JoinResult(
-            np.concatenate([p.left_ids for p in populated]),
-            np.concatenate([p.right_ids for p in populated]),
-            np.concatenate([p.scores for p in populated]),
-            stats,
-        )
-    stats.seconds = time.perf_counter() - start
-    stats.pairs_emitted = len(result)
+    parts = run_left_blocks(
+        left_n, n_right, block, stats, reserve=reserve,
+        batch_left=batch_left, batch_right=batch_right,
+        buffer_budget_bytes=buffer_budget_bytes, engine=engine, policy=policy,
+        left_edge=left_edge,
+    )
+    result = join_parts(parts, stats, start)
+    stats.extra["rerank_candidates"] = sum(p.rerank_candidates for p in parts)
     return result
 
 

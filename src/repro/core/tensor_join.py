@@ -18,16 +18,15 @@ workers, with batch shapes resolved by the engine's (possibly calibrated)
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import get_config
 from ..embedding.base import EmbeddingModel
 from ..engine import BatchPolicy, ExecutionEngine
 from ..engine.adaptive import CELL_BYTES as _CELL_BYTES
 from ..errors import DimensionalityError
 from ..vector.norms import normalize_rows
+from ..vector.scan import BlockPart, join_parts, run_left_blocks
 from ..vector.topk import StreamingTopK
 from .conditions import (
     JoinCondition,
@@ -62,18 +61,6 @@ def resolve_batch_shape(
         batch_right=batch_right,
         buffer_budget_bytes=buffer_budget_bytes,
     )
-
-
-@dataclass
-class _BlockPart:
-    """One left block's matches plus the counters it accumulated."""
-
-    left_ids: np.ndarray
-    right_ids: np.ndarray
-    scores: np.ndarray
-    similarity_evaluations: int = 0
-    batch_invocations: int = 0
-    peak_intermediate_bytes: int = 0
 
 
 def tensor_join(
@@ -134,124 +121,24 @@ def tensor_join(
     left_n = left_m if assume_normalized else normalize_rows(left_m)
     right_n = right_m if assume_normalized else normalize_rows(right_m)
 
-    if engine is not None:
-        policy = engine.policy
-    elif policy is None:
-        policy = BatchPolicy(
-            buffer_budget_bytes=get_config().default_buffer_budget_bytes
-        )
     reserve = (
         StreamingTopK.state_bytes_per_row(condition.k)
         if isinstance(condition, TopKCondition)
         else 0
     )
-    full_budget = (
-        policy.buffer_budget_bytes
-        if buffer_budget_bytes is None
-        else buffer_budget_bytes
-    )
 
-    def _resolve(share: int) -> tuple[int, int]:
-        eff = None if full_budget is None else max(full_budget // share, 1)
-        bl, br = policy.resolve(
-            stats.n_left,
-            stats.n_right,
-            left_n.shape[1],
-            batch_left=batch_left,
-            batch_right=batch_right,
-            buffer_budget_bytes=eff,
-            reserve_bytes_per_left_row=reserve,
-        )
-        if (
-            engine is not None
-            and engine.n_threads > 1
-            and batch_left is None
-            and bl >= stats.n_left
-        ):
-            # Neither the caller nor the (possibly generous) budget split
-            # the left side: cap the left edge at the engine's morsel size
-            # so the join actually parallelizes instead of degenerating to
-            # one serial full-size block.
-            morsels = engine.morsels_for(stats.n_left)
-            if len(morsels) > 1:
-                bl = max(len(m) for m in morsels)
-        return bl, br
-
-    if engine is not None and engine.n_threads > 1:
-        # Split the budget by how many blocks are concurrently resident.
-        # Shrinking the budget shrinks blocks and so *raises* the block
-        # count, so iterate share = min(workers, blocks) to its fixed
-        # point (monotone, bounded by n_threads); at the fixed point
-        # holders * per-block <= budget.  A single-block join keeps the
-        # whole budget instead of paying for concurrency it never gets.
-        share = 1
-        for _ in range(8):
-            bl, br = _resolve(share)
-            blocks = -(-stats.n_left // bl)
-            new_share = min(engine.n_threads, blocks)
-            if new_share <= share:
-                break
-            share = new_share
-        else:
-            bl, br = _resolve(engine.n_threads)  # conservative, always safe
-    else:
-        bl, br = _resolve(1)
-    stats.peak_buffer_elements = bl * br
-    stats.extra["batch_shape"] = (bl, br)
-
-    parts = _run_left_blocks(left_n, right_n, condition, bl, br, engine)
-    for part in parts:
-        stats.similarity_evaluations += part.similarity_evaluations
-        stats.batch_invocations += part.batch_invocations
-        stats.extra["peak_intermediate_bytes"] = max(
-            stats.extra.get("peak_intermediate_bytes", 0),
-            part.peak_intermediate_bytes,
-        )
-    populated = [p for p in parts if len(p.left_ids)]
-    if not populated:
-        result = JoinResult.empty(stats)
-    else:
-        result = JoinResult(
-            np.concatenate([p.left_ids for p in populated]),
-            np.concatenate([p.right_ids for p in populated]),
-            np.concatenate([p.scores for p in populated]),
-            stats,
-        )
-    stats.seconds = time.perf_counter() - start
-    stats.pairs_emitted = len(result)
-    return result
-
-
-def _run_left_blocks(
-    left_n: np.ndarray,
-    right_n: np.ndarray,
-    condition: JoinCondition,
-    bl: int,
-    br: int,
-    engine: ExecutionEngine | None,
-) -> list[_BlockPart]:
-    """Join every left block against the right relation.
-
-    Each block is a self-contained task over shared read-only operands, so
-    a multi-threaded engine schedules them on its work-stealing workers;
-    results come back in block order, keeping output identical to the
-    inline loop.
-    """
-    n = left_n.shape[0]
-    bounds = [(l0, min(l0 + bl, n)) for l0 in range(0, n, bl)]
-
-    def block_task(span: tuple[int, int]) -> _BlockPart:
-        l0, l1 = span
+    def block(l0: int, l1: int, br: int) -> BlockPart:
         if isinstance(condition, ThresholdCondition):
-            return _threshold_block(
-                left_n[l0:l1], l0, right_n, condition, br
-            )
+            return _threshold_block(left_n[l0:l1], l0, right_n, condition, br)
         assert isinstance(condition, TopKCondition)
         return _topk_block(left_n[l0:l1], l0, right_n, condition, br)
 
-    if engine is None or engine.n_threads == 1 or len(bounds) == 1:
-        return [block_task(span) for span in bounds]
-    return engine.run([lambda span=span: block_task(span) for span in bounds])
+    parts = run_left_blocks(
+        left_n, stats.n_right, block, stats, reserve=reserve,
+        batch_left=batch_left, batch_right=batch_right,
+        buffer_budget_bytes=buffer_budget_bytes, engine=engine, policy=policy,
+    )
+    return join_parts(parts, stats, start)
 
 
 def _threshold_block(
@@ -260,15 +147,11 @@ def _threshold_block(
     right_n: np.ndarray,
     condition: ThresholdCondition,
     br: int,
-) -> _BlockPart:
+) -> BlockPart:
     out_l: list[np.ndarray] = []
     out_r: list[np.ndarray] = []
     out_s: list[np.ndarray] = []
-    part = _BlockPart(
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.float32),
-    )
+    part = BlockPart()
     for r0 in range(0, right_n.shape[0], br):
         rb = right_n[r0 : r0 + br]
         scores = lb @ rb.T  # dense GEMM block (Figure 6 step 1)
@@ -297,14 +180,10 @@ def _topk_block(
     right_n: np.ndarray,
     condition: TopKCondition,
     br: int,
-) -> _BlockPart:
+) -> BlockPart:
     k = condition.k
     n_lb = lb.shape[0]
-    part = _BlockPart(
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.float32),
-    )
+    part = BlockPart()
     merger = StreamingTopK(n_lb, k)
     state_bytes = n_lb * StreamingTopK.state_bytes_per_row(k)
     for r0 in range(0, right_n.shape[0], br):

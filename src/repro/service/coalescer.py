@@ -44,46 +44,18 @@ from ..core.eselect import (
     eselect,
     exact_threshold_select,
     exact_topk_select,
+    topk_completeness_floor,
 )
 from ..errors import ServiceError, ShardError
 from ..obs.trace import span
 from ..relational.column import Column
 from ..relational.schema import DataType, Field as SchemaField
 from ..relational.table import Table
-from ..vector.topk import StreamingTopK, top_k_per_row
+from ..vector.scan import reduce_candidates
 from .qos import ArrivalRateEstimator
 
 #: Fallback shared-scan block budget when no buffer budget is configured.
 DEFAULT_SCAN_BLOCK_BYTES = 8 << 20
-
-
-def _floor_pruned_candidates(
-    by_query: np.ndarray, floor: np.ndarray, offset: int
-):
-    """Block candidates that can still enter an already-full top-k heap.
-
-    A row prunes out when its approximate score is below its query's
-    current heap floor — the floor only rises, so such a row could never
-    be retained by the streaming merge anyway (the candidate superset is
-    unchanged; only wasted per-block selection work is skipped, one
-    vectorized compare per cell instead of a partition sort).  Returns
-    ``(ids, scores)`` padded to the widest query with ``-inf`` scores —
-    harmless against a heap that already holds ``k`` real candidates —
-    or ``None`` when no row survives.
-    """
-    mask = by_query >= floor[:, None]
-    counts = mask.sum(axis=1)
-    hmax = int(counts.max()) if len(counts) else 0
-    if hmax == 0:
-        return None
-    b = by_query.shape[0]
-    ids = np.full((b, hmax), -1, dtype=np.int64)
-    scores = np.full((b, hmax), -np.inf, dtype=np.float32)
-    for j in np.nonzero(counts)[0]:
-        idx = np.nonzero(mask[j])[0]
-        ids[j, : len(idx)] = idx + offset
-        scores[j, : len(idx)] = by_query[j, idx]
-    return ids, scores
 
 
 def unwrap_shared_scan(
@@ -287,6 +259,10 @@ class CoalescingScheduler:
         try:
             self._execute_group(group.key, requests)
         except BaseException as exc:
+            # Deliberately broad: followers block on ``group.done`` and
+            # must be released with an error even on KeyboardInterrupt or
+            # SystemExit.  Nothing is swallowed — the leader's own request
+            # carries ``exc`` too, so its ``submit`` re-raises it.
             for req in requests:
                 if req.error is None and req.result is None:
                     req.error = exc
@@ -381,7 +357,6 @@ class CoalescingScheduler:
         thr_rows = sorted(thr_floor)
         pool_pos = {urow: j for j, urow in enumerate(thr_rows)}
         kpad = 0
-        heap = None
         if topk_rows:
             kpad = min(
                 n,
@@ -393,21 +368,9 @@ class CoalescingScheduler:
                 + TOPK_PRESCREEN_PAD,
             )
             kpad = max(kpad, 1)
-            heap = StreamingTopK(len(topk_rows), kpad)
         thresholds = np.asarray(
             [thr_floor[urow] for urow in thr_rows], dtype=np.float32
         )
-        pools: list[list[np.ndarray]] = [[] for _ in thr_rows]
-
-        # One blocked pass over the relation.  Each block is one stacked
-        # GEMM in (queries, rows) orientation — the relation streams once
-        # for the whole group — reduced to per-query block candidates.
-        # On a multi-threaded engine the blocks are independent scheduler
-        # tasks folded into the heap in input order; on a single-threaded
-        # engine the fold runs inline so later blocks can prune against
-        # the running heap floor with a vectorized compare instead of a
-        # per-query selection (the same superset either way).
-        all_topk = len(topk_rows) == len(queries)
         block_rows = self._block_rows(ctx, len(queries))
 
         # Fan out to the shard-process pool when one is attached and the
@@ -418,7 +381,7 @@ class CoalescingScheduler:
         # and a pool failure (ShardError) degrades to the in-process scan
         # rather than failing queries.
         shard_res = None
-        if self.shard_pool is not None and (heap is not None or thr_rows):
+        if self.shard_pool is not None and (topk_rows or thr_rows):
             try:
                 shard_res = self.shard_pool.scan_candidates(
                     key,
@@ -435,74 +398,34 @@ class CoalescingScheduler:
                     self.stats.shard_fallbacks += 1
                 shard_res = None
 
-        starts: list[int] = []
-        if shard_res is None:
-            starts = list(range(0, n, block_rows))
-        with self._lock:
-            self.stats.shared_scan_blocks += (
-                shard_res.blocks if shard_res is not None else len(starts)
-            )
-            if shard_res is not None:
-                self.stats.sharded_groups += 1
-
-        def scan_block(start: int, floor: np.ndarray | None):
-            stop = min(start + block_rows, n)
-            scores = queries @ normalized[start:stop].T  # (b, rows)
-            by_query = scores if all_topk else scores[topk_rows]
-            top = None
-            if topk_rows:
-                if floor is None:
-                    local = top_k_per_row(by_query, min(kpad, stop - start))
-                    top = (
-                        local.astype(np.int64) + start,
-                        np.take_along_axis(by_query, local, axis=1),
-                    )
-                else:
-                    top = _floor_pruned_candidates(by_query, floor, start)
-            thr_hits = [
-                np.nonzero(scores[row] >= thresholds[j])[0] + start
-                for j, row in enumerate(thr_rows)
-            ]
-            return top, thr_hits
-
-        def fold(top, thr_hits) -> None:
-            if heap is not None and top is not None:
-                heap.update(*top)
-            for j, hits in enumerate(thr_hits):
-                if len(hits):
-                    pools[j].append(hits)
-
         if shard_res is not None:
-            for j, hits in enumerate(shard_res.thr_hits):
-                if len(hits):
-                    pools[j].append(hits)
-        elif ctx.engine.n_threads > 1:
-            partials = ctx.engine.run(
-                [lambda s=s: scan_block(s, None) for s in starts]
-            )
-            for top, thr_hits in partials:
-                fold(top, thr_hits)
-        else:
-            for start in starts:
-                floor = None
-                if heap is not None and heap.width >= kpad:
-                    floor = heap.finalize()[1].min(axis=1)
-                fold(*scan_block(start, floor))
-
-        heap_ids = heap_floor = None
-        if heap is not None and shard_res is not None:
             # The pool already merged per-shard heaps; its floor includes
             # the store's score error bound, so the demux guard below
             # stays sound for quantized shard stores too.
+            blocks = shard_res.blocks
             heap_ids = shard_res.heap_ids
             heap_floor = shard_res.heap_floor
-        elif heap is not None:
-            heap_ids, heap_scores = heap.finalize()
+            pools = shard_res.thr_hits
+        else:
+            # One blocked pass over the relation.  Each block is one
+            # stacked GEMM in (queries, rows) orientation — the relation
+            # streams once for the whole group — reduced to per-query
+            # block candidates.
+            blocks = -(-n // block_rows)
+            heap_ids, heap_scores, pools = reduce_candidates(
+                lambda start, stop: queries @ normalized[start:stop].T,
+                0, n, block_rows, topk_rows, kpad, thr_rows, thresholds,
+                ctx.engine,
+            )
             heap_floor = (
                 heap_scores.min(axis=1)
                 if heap_scores.shape[1]
                 else np.full(len(topk_rows), -np.inf, dtype=np.float32)
             )
+        with self._lock:
+            self.stats.shared_scan_blocks += blocks
+            if shard_res is not None:
+                self.stats.sharded_groups += 1
 
         # Attribute the shared scan to every member query: the scan ran
         # once on the leader's thread, but each sampled trace receives a
@@ -517,10 +440,7 @@ class CoalescingScheduler:
                     cpu_s=scan_cpu,
                     batch=len(requests),
                     unique_vectors=len(uniq_vecs),
-                    blocks=(
-                        shard_res.blocks if shard_res is not None
-                        else len(starts)
-                    ),
+                    blocks=blocks,
                     rows=n,
                     bytes_scanned=int(n) * int(normalized.shape[1]) * 4,
                     shards=0 if shard_res is None else shard_res.n_shards,
@@ -550,12 +470,7 @@ class CoalescingScheduler:
             candidates = 0
             try:
                 if isinstance(condition, ThresholdCondition):
-                    j = pool_pos[urow]
-                    cand = (
-                        np.concatenate(pools[j])
-                        if pools[j]
-                        else np.empty(0, dtype=np.int64)
-                    )
+                    cand = pools[pool_pos[urow]]
                     candidates = len(cand)
                     ids, scores = exact_threshold_select(
                         normalized, cand, req.qvec, condition.threshold
@@ -569,7 +484,7 @@ class CoalescingScheduler:
                         condition, n,
                     )
                     req.result = self._materialize(table, *ids_scores, req)
-            except BaseException as exc:
+            except Exception as exc:
                 req.error = exc
             if req.trace is not None:
                 req.trace.add_span(
@@ -599,11 +514,10 @@ class CoalescingScheduler:
         scan — which is bit-identical by the shared exact contract.
         """
         if len(candidates) < n and len(candidates):
-            from ..vector.kernels import stable_dot_scores
-
-            exact = stable_dot_scores(normalized[candidates], req.qvec)
-            kth = np.sort(exact)[::-1][min(condition.k, len(exact)) - 1]
-            if heap_floor > kth - PRESCREEN_MARGIN:
+            floor = topk_completeness_floor(
+                normalized, candidates, req.qvec, condition.k
+            )
+            if heap_floor > floor:
                 with self._lock:
                     self.stats.fallbacks += 1
                 result = eselect(

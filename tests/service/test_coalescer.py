@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.engine import ExecutionEngine
 from repro.service import QueryService, unwrap_shared_scan
 
 from _service_utils import MODEL, assert_tables_equal
@@ -50,6 +51,23 @@ def _concurrent(service, specs):
     return results
 
 
+@pytest.fixture(params=[1, 2], ids=["inline-fold", "engine-fold"])
+def pinned_engine(request, service_engine, monkeypatch):
+    """The service engine with a pinned executor and multi-block scans.
+
+    One worker thread takes the reducer's inline floor-pruned fold, two
+    take the engine-task fold; 64-row blocks give every shared scan
+    several blocks, so later blocks actually prune against the floor.
+    """
+    import repro.service.coalescer as mod
+
+    service_engine.executor = ExecutionEngine(n_threads=request.param)
+    monkeypatch.setattr(
+        mod.CoalescingScheduler, "_block_rows", lambda self, ctx, batch: 64
+    )
+    return service_engine
+
+
 def test_unwrap_shared_scan_shapes(service_engine, query_vectors):
     q = query_vectors[0]
     plain = service_engine.query("corpus").esimilar(
@@ -68,7 +86,8 @@ def test_unwrap_shared_scan_shapes(service_engine, query_vectors):
     assert unwrap_shared_scan(joined.optimized_plan()) is None
 
 
-def test_coalesced_topk_bit_identical(service_engine, query_vectors):
+def test_coalesced_topk_bit_identical(pinned_engine, query_vectors):
+    service_engine = pinned_engine
     serial = [
         _serial(service_engine, q, top_k=5) for q in query_vectors[:12]
     ]
@@ -87,6 +106,7 @@ def test_coalesced_topk_bit_identical(service_engine, query_vectors):
     snapshot = service.stats_snapshot()
     assert snapshot["coalescer"]["coalesced_queries"] == 12
     assert snapshot["coalescer"]["groups"] < 12  # real batching happened
+    assert snapshot["coalescer"]["shared_scan_blocks"] > snapshot["coalescer"]["groups"]
 
 
 def test_coalesced_threshold_bit_identical(service_engine, query_vectors):
@@ -101,7 +121,8 @@ def test_coalesced_threshold_bit_identical(service_engine, query_vectors):
         assert_tables_equal(a, b, context=f"query {i}")
 
 
-def test_mixed_conditions_and_duplicates(service_engine, query_vectors):
+def test_mixed_conditions_and_duplicates(pinned_engine, query_vectors):
+    service_engine = pinned_engine
     q0, q1 = query_vectors[0], query_vectors[1]
     specs = [
         (q0, {"top_k": 4}),
@@ -277,3 +298,62 @@ def test_fallback_path_still_exact(service_engine, query_vectors, monkeypatch):
     for i, (a, b) in enumerate(zip(serial, got)):
         assert_tables_equal(a, b, context=f"query {i}")
     assert service.coalescer.stats.fallbacks >= 1
+
+
+def test_interrupt_in_demux_propagates_from_leader(
+    service_engine, query_vectors, monkeypatch
+):
+    """A KeyboardInterrupt stops the demux and reaches every submitter."""
+    import repro.service.coalescer as mod
+
+    service = QueryService(
+        service_engine, coalesce=True, coalesce_window_s=0.5,
+        result_cache_size=0,
+    )
+    service.coalescer._inflight_probe = lambda: 2
+    groups = []
+    lead = mod.CoalescingScheduler._lead
+
+    def recording_lead(self, group):
+        groups.append(group)
+        lead(self, group)
+
+    calls = []
+
+    def interrupt(table, ids, scores, req):
+        calls.append(req)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(mod.CoalescingScheduler, "_lead", recording_lead)
+    monkeypatch.setattr(
+        mod.CoalescingScheduler, "_materialize", staticmethod(interrupt)
+    )
+    requests = [
+        service._shared_scan_request(
+            service_engine.query("corpus")
+            .esimilar("emb", q, model=MODEL, top_k=3)
+            .optimized_plan(),
+            "t",
+        )
+        for q in query_vectors[:2]
+    ]
+    raised = []
+
+    def client(req):
+        try:
+            service.coalescer.submit(req)
+        except KeyboardInterrupt as exc:
+            raised.append(exc)
+
+    threads = [
+        threading.Thread(target=client, args=(r,), daemon=True)
+        for r in requests
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert len(groups) == 1 and groups[0].done.is_set()
+    assert len(groups[0].requests) == 2
+    assert len(calls) == 1  # demux stopped at the interrupt
+    assert len(raised) == 2  # leader's submit re-raised, follower released
