@@ -63,7 +63,7 @@ OVERLOAD_AT_64 = 1.5
 #: Recall floor clients state: PQ at the default rerank multiple sits
 #: exactly at it, so degradation is available.
 MIN_RECALL = 0.95
-#: Serial warm-up queries per service (> qos_min_estimate_samples, so
+#: Serial warm-up queries per service (> the tracker's min_samples, so
 #: the execution-time tracker is live before the timed run).
 WARMUP = 12
 #: Concurrent warm-up burst (qos mode): seeds the "full"/"degraded"
@@ -121,7 +121,7 @@ def _prewarm(engine: Engine, service: QueryService, warm_stream) -> None:
     The PQ store build (k-means fit + encode) costs seconds at full
     scale; it is a one-time, amortized cost in a long-running service,
     so the benchmark pays it before the timed window.  The warm-up
-    queries seed the "full" EWMA past ``qos_min_estimate_samples`` —
+    queries seed the "full" EWMA past the tracker's ``min_samples`` —
     a cold tracker never sheds, by design.
     """
     ctx = engine.context(tag="prewarm")

@@ -24,6 +24,11 @@ from .quantized_join import quantized_tensor_join
 from .result import JoinResult
 from .tensor_join import tensor_join
 
+#: Embedding width the auto strategy's precision costing assumes when the
+#: right side is raw (not yet embedded); the paper's end-to-end runs use
+#: 100-D vectors.
+DEFAULT_DIM = 100
+
 #: Valid strategy names for :func:`ejoin`.
 STRATEGIES = (
     "auto",
@@ -261,7 +266,7 @@ def _auto_strategy(
         dim = (
             right.shape[1]
             if isinstance(right, np.ndarray) and right.ndim == 2
-            else get_config().default_dim
+            else DEFAULT_DIM
         )
         decision = choose_scan_precision(
             n_left, n_right, k, dim, params=cost_params, store_built=False

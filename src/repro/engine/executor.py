@@ -152,7 +152,6 @@ class ExecutionEngine:
         #: accumulate across the engine's lifetime.
         self.retry_policy = RetryPolicy.from_config()
         self.watchdog = WatchdogPolicy.from_config()
-        self._retry_budget_n = config.retry_budget
         #: Attribution tag stamped on this engine's scheduler runs; set
         #: via :meth:`with_tag` so concurrent queries sharing one engine
         #: each carry their own tag.
@@ -215,7 +214,7 @@ class ExecutionEngine:
         # thread) bound backoff; a standalone run gets its own budget.
         budget = current_retry_budget()
         if budget is None:
-            budget = RetryBudget(self._retry_budget_n)
+            budget = RetryBudget()
         bound = self.retry_policy.bind(
             deadline=current_deadline(), budget=budget
         )

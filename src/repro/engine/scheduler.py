@@ -181,6 +181,7 @@ class WorkStealingScheduler:
                         # watchdog's (or the final sweep's) job.
                         return
                     except BaseException as exc:
+                        # Handed to the dispatching thread, which re-raises it.
                         with lock:
                             if not errors:
                                 errors.append(exc)

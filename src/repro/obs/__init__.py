@@ -22,10 +22,11 @@ could only count in isolation:
 * :mod:`~repro.obs.server` — the stdlib HTTP introspection endpoint
   (``/metrics``, ``/health``, ``/traces``, ``/slow``).
 
-Knobs: ``REPRO_OBS_ENABLED``, ``REPRO_OBS_SAMPLE``, ``REPRO_OBS_RING``,
-``REPRO_OBS_SITES``, ``REPRO_OBS_CAPTURE``, ``REPRO_OBS_CAPTURE_MAX_MB``,
-``REPRO_OBS_CAPTURE_KEEP``, ``REPRO_OBS_HTTP_PORT``, ``REPRO_OBS_SLOW_K``
-(see ``docs/OBSERVABILITY.md``).
+Knobs are ``QueryService`` constructor arguments (``obs_enabled``,
+``obs_sample_rate``, ``obs_ring_size``, ``obs_sites``, ``capture_*``,
+``slow_k``, ``http_port``); only the capture path and the endpoint port
+also read the environment (``REPRO_OBS_CAPTURE``, ``REPRO_OBS_HTTP_PORT``;
+see ``docs/OBSERVABILITY.md``).
 """
 
 from importlib import import_module

@@ -279,6 +279,7 @@ def query_scope(trace: Trace | None):
         if trace.status == "running":
             trace.status = "ok"
     except BaseException as exc:
+        # Marks the trace failed, then re-raises unchanged.
         trace.status = "failed"
         trace.error = f"{type(exc).__name__}: {exc}"
         raise
@@ -304,8 +305,7 @@ def parse_sites(raw) -> frozenset | None:
 class Tracer:
     """Sampling decisions plus the bounded ring of completed traces.
 
-    Every knob defaults to the ``REPRO_OBS_*`` configuration.  Sampling
-    is deterministic: submission *n* is traced iff
+    Sampling is deterministic: submission *n* is traced iff
     ``mix32(seed ^ n) < rate * 2**32`` — replay-identical for a pinned
     seed, uniformly spread for any rate.
     """
@@ -313,21 +313,18 @@ class Tracer:
     def __init__(
         self,
         *,
-        enabled: bool | None = None,
-        sample_rate: float | None = None,
-        ring_size: int | None = None,
+        enabled: bool = True,
+        sample_rate: float = 0.01,
+        ring_size: int = 256,
         sites=None,
         seed: int | None = None,
     ) -> None:
-        config = get_config()
-        self.enabled = config.obs_enabled if enabled is None else bool(enabled)
-        rate = config.obs_sample_rate if sample_rate is None else sample_rate
-        self.sample_rate = min(1.0, max(0.0, float(rate)))
-        size = config.obs_ring_size if ring_size is None else ring_size
-        self.ring: deque[Trace] = deque(maxlen=max(1, int(size)))
-        self.sites = parse_sites(config.obs_sites if sites is None else sites)
+        self.enabled = bool(enabled)
+        self.sample_rate = min(1.0, max(0.0, float(sample_rate)))
+        self.ring: deque[Trace] = deque(maxlen=max(1, int(ring_size)))
+        self.sites = parse_sites(sites)
         self.seed = (
-            config.stream_seed("obs.sampler") if seed is None else int(seed)
+            get_config().stream_seed("obs.sampler") if seed is None else int(seed)
         )
         self._threshold = int(self.sample_rate * 0x100000000)
         self._n = 0

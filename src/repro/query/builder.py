@@ -148,7 +148,7 @@ class Engine:
 
         Keyword arguments are forwarded to the service constructor
         (``max_inflight``, ``coalesce``, cache sizes, QoS knobs, ...);
-        anything unspecified falls back to the global config.  Use
+        anything unspecified takes that constructor's default.  Use
         :meth:`QueryService.submit` for plain exact serving,
         :meth:`QueryService.submit_qos` for deadline/priority/recall
         terms, and wrap the service in

@@ -25,7 +25,6 @@ from __future__ import annotations
 import threading
 import time
 
-from ..config import get_config
 from ..obs.metrics import registry as _metrics
 
 CLOSED = "closed"
@@ -130,18 +129,13 @@ class BreakerRegistry:
 
     def __init__(
         self,
-        threshold: int | None = None,
-        cooldown_s: float | None = None,
+        threshold: int = 3,
+        cooldown_s: float = 30.0,
         *,
         clock=time.monotonic,
     ) -> None:
-        config = get_config()
-        self.threshold = (
-            config.breaker_threshold if threshold is None else threshold
-        )
-        self.cooldown_s = (
-            config.breaker_cooldown_s if cooldown_s is None else cooldown_s
-        )
+        self.threshold = threshold
+        self.cooldown_s = cooldown_s
         self._clock = clock
         self._breakers: dict[tuple, CircuitBreaker] = {}
         self._lock = threading.Lock()

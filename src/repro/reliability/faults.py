@@ -123,26 +123,17 @@ class FaultInjector:
 
     @classmethod
     def from_config(cls) -> "FaultInjector | None":
-        """Build from ``REPRO_FAULT_*`` knobs; ``None`` when rate is 0."""
+        """Build from the ``fault_*`` config; ``None`` when rate is 0."""
         config = get_config()
         if config.fault_rate <= 0.0:
             return None
-        sites = [s.strip() for s in config.fault_sites.split(",") if s.strip()]
         kinds = [k.strip() for k in config.fault_kinds.split(",") if k.strip()]
         seed = (
             config.stream_seed("fault-injector")
             if config.fault_seed is None
             else config.fault_seed
         )
-        return cls(
-            config.fault_rate,
-            seed=seed,
-            sites=sites or None,
-            kinds=kinds or ("transient",),
-            latency_s=config.fault_latency_ms / 1000.0,
-            hang_s=config.fault_hang_s,
-            max_faults=config.fault_max,
-        )
+        return cls(config.fault_rate, seed=seed, kinds=kinds or ("transient",))
 
     def decide(self, site: str) -> str | None:
         """The kind injected at this site hit, or ``None`` (pure w.r.t.

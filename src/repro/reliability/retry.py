@@ -58,11 +58,15 @@ class RetryStats:
 
 
 class RetryBudget:
-    """A per-query cap on total re-executions (shared across morsels)."""
+    """A per-query cap on total re-executions (shared across morsels).
+
+    The default of 16 is what one service query or one scheduler run may
+    spend — it bounds worst-case work amplification under a fault storm.
+    """
 
     __slots__ = ("_left", "_lock")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int = 16) -> None:
         self._left = max(0, int(n))
         self._lock = threading.Lock()
 
@@ -110,10 +114,7 @@ class RetryPolicy:
     def from_config(cls) -> "RetryPolicy":
         config = get_config()
         return cls(
-            config.retry_max_attempts,
-            config.retry_base_ms / 1000.0,
-            config.retry_cap_ms / 1000.0,
-            seed=config.stream_seed("retry-jitter"),
+            config.retry_max_attempts, seed=config.stream_seed("retry-jitter")
         )
 
     def bind(

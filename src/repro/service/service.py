@@ -259,93 +259,56 @@ class QueryService:
             bit-identical to serial, and pool failures degrade to the
             in-process scan.
 
-    Every knob defaults to the ``REPRO_SERVICE_*`` / ``REPRO_QOS_*`` /
-    ``REPRO_OBS_*`` configuration.
+    ``capture_path``, ``http_port`` and ``shard_procs`` default to the
+    process-wide config (``REPRO_OBS_CAPTURE``, ``REPRO_OBS_HTTP_PORT``,
+    ``REPRO_SHARD_PROCS``); every other knob is set here or not at all.
     """
 
     def __init__(
         self,
         engine: Engine,
         *,
-        max_inflight: int | None = None,
-        admission_timeout_s: float | None = None,
+        max_inflight: int = 64,
+        admission_timeout_s: float = 30.0,
         coalesce: bool = True,
-        coalesce_window_s: float | None = None,
-        coalesce_max_batch: int | None = None,
-        plan_cache_size: int | None = None,
-        result_cache_size: int | None = None,
-        result_cache_ttl_s: float | None = None,
+        coalesce_window_s: float = 0.002,
+        coalesce_max_batch: int = 64,
+        plan_cache_size: int = 256,
+        result_cache_size: int = 512,
+        result_cache_ttl_s: float = 300.0,
         near_dup_threshold: float | None = None,
-        adaptive_window: bool | None = None,
-        result_cache_tinylfu: bool | None = None,
-        obs_enabled: bool | None = None,
-        obs_sample_rate: float | None = None,
-        obs_ring_size: int | None = None,
+        adaptive_window: bool = True,
+        result_cache_tinylfu: bool = False,
+        obs_enabled: bool = True,
+        obs_sample_rate: float = 0.01,
+        obs_ring_size: int = 256,
         obs_sites: str | None = None,
         capture_path: str | None = None,
-        capture_max_mb: float | None = None,
-        capture_keep: int | None = None,
-        slow_k: int | None = None,
+        capture_max_mb: float = 64.0,
+        capture_keep: int = 1,
+        slow_k: int = 32,
         http_port: int | None = None,
         shard_procs: int | None = None,
     ) -> None:
         config = get_config()
         self.engine = engine
         self.admission = AdmissionController(
-            config.service_max_inflight if max_inflight is None else max_inflight,
-            timeout_s=(
-                config.service_admission_timeout_s
-                if admission_timeout_s is None
-                else admission_timeout_s
-            ),
+            max_inflight, timeout_s=admission_timeout_s
         )
-        self.plans = PlanCache(
-            config.service_plan_cache_size
-            if plan_cache_size is None
-            else plan_cache_size
-        )
+        self.plans = PlanCache(plan_cache_size)
         self.results = SemanticResultCache(
-            capacity=(
-                config.service_result_cache_size
-                if result_cache_size is None
-                else result_cache_size
-            ),
-            ttl_s=(
-                config.service_result_cache_ttl_s
-                if result_cache_ttl_s is None
-                else result_cache_ttl_s
-            ),
-            near_dup_threshold=(
-                config.service_near_dup_threshold
-                if near_dup_threshold is None
-                else near_dup_threshold
-            ),
-            tinylfu=(
-                config.qos_cache_tinylfu
-                if result_cache_tinylfu is None
-                else result_cache_tinylfu
-            ),
+            capacity=result_cache_size,
+            ttl_s=result_cache_ttl_s,
+            near_dup_threshold=near_dup_threshold,
+            tinylfu=result_cache_tinylfu,
         )
         self.coalescer = (
             CoalescingScheduler(
                 engine,
-                window_s=(
-                    config.service_coalesce_window_s
-                    if coalesce_window_s is None
-                    else coalesce_window_s
-                ),
-                max_batch=(
-                    config.service_coalesce_max_batch
-                    if coalesce_max_batch is None
-                    else coalesce_max_batch
-                ),
+                window_s=coalesce_window_s,
+                max_batch=coalesce_max_batch,
                 inflight_probe=lambda: self.admission.inflight,
-                adaptive=(
-                    config.qos_adaptive_window
-                    if adaptive_window is None
-                    else adaptive_window
-                ),
-                target_batch=config.qos_window_target_batch,
+                adaptive=adaptive_window,
             )
             if coalesce
             else None
@@ -359,11 +322,7 @@ class QueryService:
             self.coalescer.shard_pool = self.shard_pool
         self.stats = ServiceStats()
         self.qos = QoSStats()
-        self.qos_tracker = ExecTimeTracker(
-            alpha=config.qos_ewma_alpha,
-            safety=config.qos_deadline_safety,
-            min_samples=config.qos_min_estimate_samples,
-        )
+        self.qos_tracker = ExecTimeTracker()
         self._stats_lock = threading.Lock()
         self._inflight_results: dict[tuple, _InflightResult] = {}
         self._singleflight_lock = threading.Lock()
@@ -396,20 +355,14 @@ class QueryService:
             "repro_query_latency_seconds"
         )
         self._query_ids = itertools.count(1)
-        self.slow_log = SlowQueryLog(
-            config.obs_slow_k if slow_k is None else slow_k
-        )
+        self.slow_log = SlowQueryLog(slow_k)
         capture = (
             config.obs_capture_path if capture_path is None else capture_path
         )
         self.recorder: WorkloadRecorder | None = (
             WorkloadRecorder(
                 capture,
-                max_bytes=(
-                    None
-                    if capture_max_mb is None
-                    else int(capture_max_mb * 2**20)
-                ),
+                max_bytes=int(capture_max_mb * 2**20),
                 keep=capture_keep,
             )
             if capture
@@ -494,9 +447,8 @@ class QueryService:
             deadline_s: deadline relative to now, in seconds (``None``:
                 no deadline).
             priority: larger values win admission first among waiters.
-            min_recall: recall floor for degradation; ``None`` falls back
-                to ``config.qos_default_min_recall`` (itself ``None`` by
-                default, forbidding degradation).
+            min_recall: recall floor for degradation; ``None`` (the
+                default) forbids degradation.
             tag: morsel-attribution tag for the engine scheduler.
             timeout_s: admission backpressure bound.
             explain_analyze: force-trace this query (bypassing sampling)
@@ -505,9 +457,6 @@ class QueryService:
         if self._closed:
             raise ServiceError("service is shut down")
         start = time.perf_counter()
-        config = get_config()
-        if min_recall is None:
-            min_recall = config.qos_default_min_recall
         qos = QoSParams.from_relative(
             deadline_s, priority=priority, min_recall=min_recall, now=start
         )
@@ -527,6 +476,7 @@ class QueryService:
                     plan, qos, tag, start, timeout_s=timeout_s
                 )
         except BaseException as exc:
+            # Recorded for the capture log, then re-raised unchanged.
             error = exc
             raise
         finally:
@@ -567,7 +517,6 @@ class QueryService:
         timeout_s: float | None,
     ) -> QueryResponse:
         """The admitted lifetime of one submission (runs inside its scope)."""
-        config = get_config()
         with span("admission") as sp:
             sp.set(priority=qos.priority)
             try:
@@ -593,7 +542,7 @@ class QueryService:
             # threading QoS through operator signatures.
             with deadline_scope(
                 qos.deadline,
-                retry_budget=RetryBudget(config.retry_budget),
+                retry_budget=RetryBudget(),
             ):
                 response = self._run_admitted(plan, qos, tag, start)
             with self._stats_lock:

@@ -125,6 +125,37 @@ class TestEnvOverrides:
         assert proc.stdout.strip() == "fp32"
 
 
+    def test_unknown_env_names_warn(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-c", "import repro"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": "src", "REPRO_SERVICE_MAX_INFLIGHT": "8"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" in proc.stderr
+        assert "REPRO_SERVICE_MAX_INFLIGHT" in proc.stderr
+
+    def test_known_env_names_do_not_warn(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", "import repro"],
+            capture_output=True,
+            text=True,
+            env={
+                "PYTHONPATH": "src",
+                "REPRO_THREADS": "2",
+                "REPRO_BENCH_SMOKE": "1",
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
 class TestConfigure:
     def test_rejects_method_names(self):
         from repro.config import configure

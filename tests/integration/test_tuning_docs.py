@@ -3,7 +3,8 @@
 The knob table's contract: every ``REPRO_*`` environment variable the
 config module reads appears in the *env* column, every ``ReproConfig``
 field (except ``extra``) appears in the *field* column, and each
-backticked default equals the field's actual default.
+backticked default equals the field's actual default.  Beyond the table,
+no README or docs page may name a ``REPRO_*`` variable nothing reads.
 """
 
 import dataclasses
@@ -88,15 +89,23 @@ def test_documented_defaults_match_config():
 
 
 def test_no_stale_env_names():
+    """Every ``REPRO_*`` token in README.md and docs/*.md names a variable
+    something reads; a prefix token (``REPRO_FAULT_*``) passes only if a
+    read name has that prefix."""
     _skip_unless_checkout()
-    read_by_config = set(
+    read = set(
         re.findall(r'"(REPRO_[A-Z0-9_]+)"', CONFIG.read_text(encoding="utf-8"))
     )
-    read_by_config.add("REPRO_BENCH_SMOKE")  # read by benchmarks/_smoke.py
-    for row in _table_rows():
-        if row[0] == "—":
-            continue
-        env = _backticked(row[0])
-        assert env in read_by_config, (
-            f"docs/TUNING.md documents {env}, which nothing reads"
-        )
+    read.add("REPRO_BENCH_SMOKE")  # read by benchmarks/_smoke.py
+    docs = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+    stale = []
+    for path in docs:
+        text = path.read_text(encoding="utf-8")
+        for token in set(re.findall(r"REPRO_[A-Z0-9_]*\*?", text)):
+            if token.endswith("*"):
+                known = any(name.startswith(token[:-1]) for name in read)
+            else:
+                known = token in read
+            if not known:
+                stale.append(f"{path.relative_to(REPO_ROOT)}: {token}")
+    assert not stale, f"docs name REPRO_* variables nothing reads: {sorted(stale)}"
