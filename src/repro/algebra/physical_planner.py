@@ -234,6 +234,45 @@ def _breaker_gate(store_key: tuple | None, precision: str) -> str:
     return precision
 
 
+def _quantized_walk(
+    ctx: "ExecutionContext",
+    store_key: tuple | None,
+    precision: str,
+    vectors: np.ndarray,
+    report: "ExecutionReport",
+    run,
+):
+    """Run ``run(relation, precision)`` down the pq -> int8 breaker chain.
+
+    ``relation`` is the context-cached quantized store for ``store_key``
+    (the raw ``vectors`` for uncacheable sources).  A failure feeds the
+    access path's breaker, is recorded in ``report.fallbacks`` and steps
+    one precision down past open breakers; a success closes the breaker.
+    Returns ``(result, precision)``; ``result`` is ``None`` once the walk
+    leaves the quantized precisions, for the caller's exact scan.
+    """
+    precision = _breaker_gate(store_key, precision)
+    while precision in ("int8", "pq"):
+        breaker_key = None if store_key is None else (*store_key, precision)
+        try:
+            relation = vectors
+            if store_key is not None:
+                relation = ctx.quant_store_for(store_key, vectors, precision)
+            result = run(relation, precision)
+        except Exception:
+            # Store build or compressed scan failed: feed the breaker and
+            # fall down the chain toward the exact fp32 scan.
+            if breaker_key is not None:
+                breakers().record_failure(breaker_key)
+                report.fallbacks.append("/".join(map(str, breaker_key)))
+            precision = _breaker_gate(store_key, _PRECISION_FALLBACK[precision])
+            continue
+        if breaker_key is not None:
+            breakers().record_success(breaker_key)
+        return result, precision
+    return None, precision
+
+
 @dataclass
 class ExecutionReport:
     """Side-channel describing what the physical layer actually did."""
@@ -308,34 +347,12 @@ def _execute_eselect(
         decision, store_key = _quantized_scan_decision(
             ctx, node.child, node.column, node.model_name, 1, vectors, k
         )
-        precision = _breaker_gate(store_key, decision.precision)
-        result = None
-        while precision in ("int8", "pq"):
-            breaker_key = (
-                None if store_key is None else (*store_key, precision)
-            )
-            try:
-                relation = vectors
-                if store_key is not None:
-                    relation = ctx.quant_store_for(
-                        store_key, vectors, precision
-                    )
-                result = quantized_eselect(
-                    relation, query, node.condition, method=precision
-                )
-            except Exception:
-                # Store build or compressed scan failed: feed the breaker
-                # and fall down the chain toward the exact fp32 scan.
-                if breaker_key is not None:
-                    breakers().record_failure(breaker_key)
-                    report.fallbacks.append("/".join(map(str, breaker_key)))
-                precision = _breaker_gate(
-                    store_key, _PRECISION_FALLBACK[precision]
-                )
-                continue
-            if breaker_key is not None:
-                breakers().record_success(breaker_key)
-            break
+        result, precision = _quantized_walk(
+            ctx, store_key, decision.precision, vectors, report,
+            lambda relation, method: quantized_eselect(
+                relation, query, node.condition, method=method
+            ),
+        )
         if result is None:
             if store_key is not None:
                 # Scan sources share one normalize-once matrix across
@@ -544,37 +561,16 @@ def _execute_ejoin_impl(
                 right_vectors,
                 k,
             )
-            precision = _breaker_gate(store_key, decision.precision)
-            while precision in ("int8", "pq"):
-                breaker_key = (
-                    None if store_key is None else (*store_key, precision)
-                )
-                try:
-                    right_input = right_vectors
-                    if store_key is not None:
-                        right_input = ctx.quant_store_for(
-                            store_key, right_vectors, precision
-                        )
-                    result = ejoin(
-                        left_vectors,
-                        right_input,
-                        node.condition,
-                        strategy=f"tensor-{precision}",
-                        engine=ctx.engine,
-                    )
-                except Exception:
-                    if breaker_key is not None:
-                        breakers().record_failure(breaker_key)
-                        report.fallbacks.append(
-                            "/".join(map(str, breaker_key))
-                        )
-                    precision = _breaker_gate(
-                        store_key, _PRECISION_FALLBACK[precision]
-                    )
-                    continue
-                if breaker_key is not None:
-                    breakers().record_success(breaker_key)
-                break
+            result, _ = _quantized_walk(
+                ctx, store_key, decision.precision, right_vectors, report,
+                lambda right_input, precision: ejoin(
+                    left_vectors,
+                    right_input,
+                    node.condition,
+                    strategy=f"tensor-{precision}",
+                    engine=ctx.engine,
+                ),
+            )
             if result is None and get_config().default_precision == "fp16":
                 scan_strategy = "tensor-fp16"
         if result is None:

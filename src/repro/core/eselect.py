@@ -16,14 +16,18 @@ produces approximate scores whose only job is to select a provable
 candidate superset, and the emitted rows are then re-scored with the
 shape-stable :func:`~repro.vector.kernels.stable_dot_scores` kernel.
 Emitted ids and scores are therefore a pure function of the data and the
-query — independent of how the scan was blocked or batched — which is
-what lets the concurrent query service's cross-query shared scans return
-bit-identical results to serial execution.
+query — independent of how the scan was blocked or batched.  Both halves
+live here: :func:`prescreen` runs one approximate pass for a batch of
+queries and :func:`rescore` proves and selects each query's exact rows.
+Serial :func:`eselect`, the service's coalesced shared scans and the
+shard workers (through ``prescreen``'s ``scan`` callback) all take this
+one path, so their results are bit-identical.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from ..errors import DimensionalityError, JoinError
 from ..index.base import VectorIndex
 from ..vector.kernels import stable_dot_scores
 from ..vector.norms import normalize_rows, normalize_vector
-from ..vector.topk import top_k_indices
+from ..vector.scan import reduce_candidates
 from .conditions import (
     JoinCondition,
     ThresholdCondition,
@@ -50,7 +54,7 @@ from .result import JoinStats
 PRESCREEN_MARGIN = 1e-3
 
 #: Extra prescreen candidates retained beyond ``k`` for top-k conditions,
-#: before the margin-widening pass proves the candidate set complete.
+#: so the completeness guard in :func:`rescore` rarely has to widen.
 TOPK_PRESCREEN_PAD = 32
 
 
@@ -147,6 +151,115 @@ def topk_completeness_floor(
     return kth - PRESCREEN_MARGIN
 
 
+def prescreen(
+    normalized: np.ndarray,
+    queries: np.ndarray,
+    conditions: Sequence[JoinCondition],
+    scan: Callable | None = None,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """One approximate pass selecting candidate supersets for many queries.
+
+    ``queries`` holds one unit vector per condition.  Identical vectors
+    share one scan row; top-k rows keep their best ``k + TOPK_PRESCREEN_PAD``
+    rows, threshold rows every row within ``PRESCREEN_MARGIN`` of their
+    threshold.  ``scan(unique_queries, topk_rows, kpad, thr_rows,
+    thr_floors)`` runs the pass and returns what
+    :func:`~repro.vector.scan.reduce_candidates` does (default: that
+    reducer over one inline block of ``q @ normalized.T``).
+
+    Returns per-query ``(candidates, heap_floors)``: candidate id arrays,
+    and for top-k queries the lowest approximate score the heap kept
+    (``-inf`` for threshold queries).  :func:`rescore` turns each into
+    the exact result.
+    """
+    n = len(normalized)
+    queries = np.asarray(queries, dtype=np.float32)
+    rows: dict[bytes, int] = {}
+    urow_of = [rows.setdefault(q.tobytes(), len(rows)) for q in queries]
+    unique = queries[np.unique(urow_of, return_index=True)[1]]
+
+    topk_rows = sorted(
+        {u for u, c in zip(urow_of, conditions) if isinstance(c, TopKCondition)}
+    )
+    thr_floor: dict[int, float] = {}
+    for u, c in zip(urow_of, conditions):
+        if isinstance(c, ThresholdCondition):
+            bound = c.threshold - PRESCREEN_MARGIN
+            thr_floor[u] = min(thr_floor.get(u, bound), bound)
+    thr_rows = sorted(thr_floor)
+    ks = [c.k for c in conditions if isinstance(c, TopKCondition)]
+    kpad = max(1, min(n, max(ks) + TOPK_PRESCREEN_PAD)) if ks else 1
+    thr_floors = np.asarray([thr_floor[u] for u in thr_rows], dtype=np.float32)
+
+    if scan is None:
+        def scan(q, topk_rows, kpad, thr_rows, thr_floors):
+            return reduce_candidates(
+                lambda s, e: q @ normalized[s:e].T, 0, n, max(n, 1),
+                topk_rows, kpad, thr_rows, thr_floors, None,
+            )
+
+    heap_ids, heap_scores, thr_hits = scan(
+        unique, topk_rows, kpad, thr_rows, thr_floors
+    )
+    heap_min = (
+        heap_scores.min(axis=1)
+        if heap_scores.shape[1]
+        else np.full(len(topk_rows), -np.inf, dtype=np.float32)
+    )
+    heap_pos = {u: j for j, u in enumerate(topk_rows)}
+    pool_pos = {u: j for j, u in enumerate(thr_rows)}
+    is_thr = [isinstance(c, ThresholdCondition) for c in conditions]
+    candidates = [
+        thr_hits[pool_pos[u]] if thr else heap_ids[heap_pos[u]]
+        for u, thr in zip(urow_of, is_thr)
+    ]
+    floors = np.asarray(
+        [-np.inf if thr else heap_min[heap_pos[u]] for u, thr in zip(urow_of, is_thr)],
+        dtype=np.float32,
+    )
+    return candidates, floors
+
+
+def rescore(
+    normalized: np.ndarray,
+    qvec: np.ndarray,
+    condition: JoinCondition,
+    candidates: np.ndarray,
+    heap_floor: float,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Exact selection over one query's :func:`prescreen` candidates.
+
+    Threshold candidates are complete by the prescreen margin.  Top-k
+    candidates pass a completeness guard: every row the heap dropped
+    scored at most ``heap_floor``, so when that is no higher than
+    :func:`topk_completeness_floor` none of them can reach the top-k.
+    Otherwise the candidates widen to a one-query threshold rescan at
+    that floor.  Returns ``(ids, scores, widened)``.
+    """
+    if isinstance(condition, ThresholdCondition):
+        ids, scores = exact_threshold_select(
+            normalized, candidates, qvec, condition.threshold
+        )
+        return ids, scores, False
+    assert isinstance(condition, TopKCondition)
+    widened = False
+    if 0 < len(candidates) < len(normalized):
+        floor = topk_completeness_floor(
+            normalized, candidates, qvec, condition.k
+        )
+        if heap_floor > floor:
+            candidates = np.nonzero(normalized @ qvec >= floor)[0]
+            widened = True
+    ids, scores = exact_topk_select(
+        normalized,
+        candidates,
+        qvec,
+        condition.k,
+        min_similarity=condition.min_similarity,
+    )
+    return ids, scores, widened
+
+
 def eselect(
     relation,
     query,
@@ -156,6 +269,8 @@ def eselect(
     assume_normalized: bool = False,
 ) -> SelectionResult:
     """Scan-based E-selection: exact, expression-flexible.
+
+    The one-query case of :func:`prescreen` + :func:`rescore`.
 
     Args:
         relation: ``(n, d)`` embeddings or raw items (prefetch-embedded).
@@ -176,36 +291,9 @@ def eselect(
             f"relation dim {matrix.shape[1]} != query dim {qvec.shape[0]}"
         )
     normalized = matrix if assume_normalized else normalize_rows(matrix)
-    approx = normalized @ qvec
-    stats.similarity_evaluations = len(approx)
-
-    if isinstance(condition, ThresholdCondition):
-        candidates = np.nonzero(
-            approx >= condition.threshold - PRESCREEN_MARGIN
-        )[0]
-        ids, scores = exact_threshold_select(
-            normalized, candidates, qvec, condition.threshold
-        )
-    else:
-        assert isinstance(condition, TopKCondition)
-        n = len(approx)
-        kpad = min(n, condition.k + TOPK_PRESCREEN_PAD)
-        candidates = top_k_indices(approx, kpad)
-        if kpad < n and len(candidates):
-            # Widen to a provable superset: any row whose exact score can
-            # tie or beat the running k-th best has approximate score
-            # within the margin of it.
-            floor = topk_completeness_floor(
-                normalized, candidates, qvec, condition.k
-            )
-            candidates = np.nonzero(approx >= floor)[0]
-        ids, scores = exact_topk_select(
-            normalized,
-            candidates,
-            qvec,
-            condition.k,
-            min_similarity=condition.min_similarity,
-        )
+    (candidates,), (heap_floor,) = prescreen(normalized, qvec[None], [condition])
+    ids, scores, _ = rescore(normalized, qvec, condition, candidates, heap_floor)
+    stats.similarity_evaluations = len(normalized)
     stats.seconds = time.perf_counter() - start
     stats.pairs_emitted = len(ids)
     return SelectionResult(ids, scores, stats)

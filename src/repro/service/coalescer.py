@@ -11,22 +11,19 @@ query — and per-query results are demuxed from the shared score blocks
 through a :class:`~repro.vector.topk.StreamingTopK` heap (one row per
 session's query).
 
-Exactness: the shared scan is only a *prescreen*.  Each query's emitted
-rows are re-scored with the shape-stable exact kernel and re-selected by
-:func:`~repro.core.eselect.exact_topk_select` /
-:func:`~repro.core.eselect.exact_threshold_select` — the same contract
-the serial scan uses — so coalesced results are bit-identical to serial
-execution.  Threshold demux is provably complete via the prescreen
-margin; top-k demux verifies a completeness guard (heap floor at least a
-margin below the running k-th exact score) and falls back to the serial
-scan for that one query when the guard cannot prove the heap covered it.
+Exactness: the shared scan is :func:`~repro.core.eselect.prescreen`
+with a group-wide ``scan`` callback (engine blocks or the shard pool),
+and each query's rows come from :func:`~repro.core.eselect.rescore` —
+the same two steps serial :func:`~repro.core.eselect.eselect` runs — so
+coalesced results are bit-identical to serial execution.  A top-k query
+whose heap cannot prove completeness widens by a one-query rescan.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,14 +35,7 @@ from ..algebra.logical import (
     ScanNode,
 )
 from ..core.conditions import ThresholdCondition, TopKCondition
-from ..core.eselect import (
-    PRESCREEN_MARGIN,
-    TOPK_PRESCREEN_PAD,
-    eselect,
-    exact_threshold_select,
-    exact_topk_select,
-    topk_completeness_floor,
-)
+from ..core.eselect import prescreen, rescore
 from ..errors import ServiceError, ShardError
 from ..obs.trace import span
 from ..relational.column import Column
@@ -88,11 +78,6 @@ class SharedScanRequest:
     wrappers: list[LogicalNode]
     #: Unit-normalized query vector (the eselect query contract).
     qvec: np.ndarray
-    #: The resolved query vector *before* normalization — the serial
-    #: fallback hands this to :func:`~repro.core.eselect.eselect` so its
-    #: internal normalization reproduces ``qvec`` bit-for-bit
-    #: (``normalize_vector`` is not idempotent at the last ulp).
-    qraw: np.ndarray
     tag: str
     result: Table | None = None
     error: BaseException | None = None
@@ -131,6 +116,8 @@ class CoalescerStats:
     deduped_queries: int = 0
     max_batch: int = 0
     shared_scan_blocks: int = 0
+    #: Top-k queries whose shared-scan heap failed the completeness guard
+    #: and were widened by a one-query rescan.
     fallbacks: int = 0
     #: Groups whose shared scan ran fanned out on the shard-process pool.
     sharded_groups: int = 0
@@ -138,16 +125,7 @@ class CoalescerStats:
     shard_fallbacks: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "groups": self.groups,
-            "coalesced_queries": self.coalesced_queries,
-            "deduped_queries": self.deduped_queries,
-            "max_batch": self.max_batch,
-            "shared_scan_blocks": self.shared_scan_blocks,
-            "fallbacks": self.fallbacks,
-            "sharded_groups": self.sharded_groups,
-            "shard_fallbacks": self.shard_fallbacks,
-        }
+        return asdict(self)
 
 
 class CoalescingScheduler:
@@ -318,112 +296,51 @@ class CoalescingScheduler:
         vectors = _embed_column(table, column, model_name, ctx)
         normalized = ctx.normalized_matrix_for(key, vectors)
         n = len(normalized)
+        shape: dict = {"shard": None}
 
-        # Deduplicate query vectors: concurrent clients asking the same
-        # (hot) question share one scan row — the service-level analogue
-        # of the embed-once prefetch.  ``urow_of[i]`` maps request i to
-        # its unique scan row.
-        uniq_index: dict[bytes, int] = {}
-        urow_of: list[int] = []
-        uniq_vecs: list[np.ndarray] = []
-        for req in requests:
-            digest = req.qvec.tobytes()
-            urow = uniq_index.get(digest)
-            if urow is None:
-                urow = len(uniq_vecs)
-                uniq_index[digest] = urow
-                uniq_vecs.append(req.qvec)
-            urow_of.append(urow)
-        queries = np.stack(uniq_vecs).astype(np.float32)
-        with self._lock:
-            self.stats.deduped_queries += len(requests) - len(uniq_vecs)
-
-        # Unique scan rows needing a top-k heap / threshold pool (a row
-        # can need both when duplicate vectors carry mixed conditions).
-        topk_rows = sorted(
-            {
-                urow_of[i]
-                for i, req in enumerate(requests)
-                if isinstance(req.node.condition, TopKCondition)
-            }
-        )
-        heap_pos = {urow: j for j, urow in enumerate(topk_rows)}
-        thr_floor: dict[int, float] = {}
-        for i, req in enumerate(requests):
-            if isinstance(req.node.condition, ThresholdCondition):
-                urow = urow_of[i]
-                bound = req.node.condition.threshold - PRESCREEN_MARGIN
-                thr_floor[urow] = min(thr_floor.get(urow, bound), bound)
-        thr_rows = sorted(thr_floor)
-        pool_pos = {urow: j for j, urow in enumerate(thr_rows)}
-        kpad = 0
-        if topk_rows:
-            kpad = min(
-                n,
-                max(
-                    req.node.condition.k
-                    for req in requests
-                    if isinstance(req.node.condition, TopKCondition)
-                )
-                + TOPK_PRESCREEN_PAD,
-            )
-            kpad = max(kpad, 1)
-        thresholds = np.asarray(
-            [thr_floor[urow] for urow in thr_rows], dtype=np.float32
-        )
-        block_rows = self._block_rows(ctx, len(queries))
-
-        # Fan out to the shard-process pool when one is attached and the
-        # cost model says the table is big enough to amortize dispatch.
-        # The pool returns the same artifacts the in-process pass builds
-        # (merged heap + threshold hit pools), so everything downstream —
-        # floor guard, exact rescore, demux — is shared between paths,
-        # and a pool failure (ShardError) degrades to the in-process scan
-        # rather than failing queries.
-        shard_res = None
-        if self.shard_pool is not None and (topk_rows or thr_rows):
-            try:
-                shard_res = self.shard_pool.scan_candidates(
-                    key,
-                    queries,
-                    n_rows=n,
-                    topk_rows=topk_rows,
-                    kpad=max(kpad, 1),
-                    thr_rows=thr_rows,
-                    thr_floors=thresholds,
-                    block_rows=block_rows,
-                )
-            except ShardError:
-                with self._lock:
-                    self.stats.shard_fallbacks += 1
-                shard_res = None
-
-        if shard_res is not None:
-            # The pool already merged per-shard heaps; its floor includes
-            # the store's score error bound, so the demux guard below
-            # stays sound for quantized shard stores too.
-            blocks = shard_res.blocks
-            heap_ids = shard_res.heap_ids
-            heap_floor = shard_res.heap_floor
-            pools = shard_res.thr_hits
-        else:
+        def scan(queries, topk_rows, kpad, thr_rows, thr_floors):
+            # ``queries`` are the group's unique vectors: concurrent
+            # clients asking the same (hot) question share one scan row.
+            shape["unique"] = len(queries)
+            block_rows = self._block_rows(ctx, len(queries))
+            # Fan out to the shard-process pool when one is attached and
+            # the cost model says the table is big enough to amortize
+            # dispatch; a pool failure (ShardError) degrades to the
+            # in-process scan rather than failing queries.
+            if self.shard_pool is not None:
+                try:
+                    res = self.shard_pool.scan_candidates(
+                        key, queries, n_rows=n, topk_rows=topk_rows,
+                        kpad=kpad, thr_rows=thr_rows, thr_floors=thr_floors,
+                        block_rows=block_rows,
+                    )
+                except ShardError:
+                    with self._lock:
+                        self.stats.shard_fallbacks += 1
+                    res = None
+                if res is not None:
+                    shape.update(shard=res, blocks=res.blocks)
+                    return res.heap_ids, res.heap_scores, res.thr_hits
             # One blocked pass over the relation.  Each block is one
             # stacked GEMM in (queries, rows) orientation — the relation
-            # streams once for the whole group — reduced to per-query
-            # block candidates.
-            blocks = -(-n // block_rows)
-            heap_ids, heap_scores, pools = reduce_candidates(
+            # streams once for the whole group.
+            shape["blocks"] = -(-n // block_rows)
+            return reduce_candidates(
                 lambda start, stop: queries @ normalized[start:stop].T,
-                0, n, block_rows, topk_rows, kpad, thr_rows, thresholds,
+                0, n, block_rows, topk_rows, kpad, thr_rows, thr_floors,
                 ctx.engine,
             )
-            heap_floor = (
-                heap_scores.min(axis=1)
-                if heap_scores.shape[1]
-                else np.full(len(topk_rows), -np.inf, dtype=np.float32)
-            )
+
+        candidates, heap_floors = prescreen(
+            normalized,
+            np.stack([req.qvec for req in requests]),
+            [req.node.condition for req in requests],
+            scan,
+        )
+        shard_res = shape["shard"]
         with self._lock:
-            self.stats.shared_scan_blocks += blocks
+            self.stats.deduped_queries += len(requests) - shape["unique"]
+            self.stats.shared_scan_blocks += shape["blocks"]
             if shard_res is not None:
                 self.stats.sharded_groups += 1
 
@@ -439,8 +356,8 @@ class CoalescingScheduler:
                     wall_s=scan_wall,
                     cpu_s=scan_cpu,
                     batch=len(requests),
-                    unique_vectors=len(uniq_vecs),
-                    blocks=blocks,
+                    unique_vectors=shape["unique"],
+                    blocks=shape["blocks"],
                     rows=n,
                     bytes_scanned=int(n) * int(normalized.shape[1]) * 4,
                     shards=0 if shard_res is None else shard_res.n_shards,
@@ -457,80 +374,32 @@ class CoalescingScheduler:
                             shard=sid,
                         )
 
-        # Per-request demux: exact selection from the shared candidates.
+        # Per-request exact selection from the shared candidates.
         # Duplicate vectors share candidates but each request applies its
         # own condition, score column, and wrappers — and each fails
         # alone: a bad wrapper (e.g. projecting a missing column) must
         # not poison the other queries that happened to share its scan.
-        for i, req in enumerate(requests):
-            urow = urow_of[i]
-            condition = req.node.condition
-            demux_t0 = time.perf_counter()
-            demux_c0 = time.thread_time()
-            candidates = 0
+        for req, cand, heap_floor in zip(requests, candidates, heap_floors):
+            rescore_t0 = time.perf_counter()
+            rescore_c0 = time.thread_time()
             try:
-                if isinstance(condition, ThresholdCondition):
-                    cand = pools[pool_pos[urow]]
-                    candidates = len(cand)
-                    ids, scores = exact_threshold_select(
-                        normalized, cand, req.qvec, condition.threshold
-                    )
-                    req.result = self._materialize(table, ids, scores, req)
-                else:
-                    j = heap_pos[urow]
-                    candidates = len(heap_ids[j])
-                    ids_scores = self._demux_topk(
-                        normalized, heap_ids[j], float(heap_floor[j]), req,
-                        condition, n,
-                    )
-                    req.result = self._materialize(table, *ids_scores, req)
+                ids, scores, widened = rescore(
+                    normalized, req.qvec, req.node.condition, cand, heap_floor
+                )
+                if widened:
+                    with self._lock:
+                        self.stats.fallbacks += 1
+                req.result = self._materialize(table, ids, scores, req)
             except Exception as exc:
                 req.error = exc
             if req.trace is not None:
                 req.trace.add_span(
                     "rescore",
-                    wall_s=time.perf_counter() - demux_t0,
-                    cpu_s=time.thread_time() - demux_c0,
-                    candidates=candidates,
+                    wall_s=time.perf_counter() - rescore_t0,
+                    cpu_s=time.thread_time() - rescore_c0,
+                    candidates=len(cand),
                     rows=0 if req.result is None else len(req.result),
                 )
-
-    def _demux_topk(
-        self,
-        normalized: np.ndarray,
-        candidates: np.ndarray,
-        heap_floor: float,
-        req: SharedScanRequest,
-        condition: TopKCondition,
-        n: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact top-k from shared-scan candidates, or serial fallback.
-
-        Completeness guard: every row the heap dropped has approximate
-        score <= the heap floor; if the floor sits at least the prescreen
-        margin below this query's k-th exact candidate score, no dropped
-        row can reach the top-k, so the candidate set is provably
-        complete.  Otherwise re-run this one query through the serial
-        scan — which is bit-identical by the shared exact contract.
-        """
-        if len(candidates) < n and len(candidates):
-            floor = topk_completeness_floor(
-                normalized, candidates, req.qvec, condition.k
-            )
-            if heap_floor > floor:
-                with self._lock:
-                    self.stats.fallbacks += 1
-                result = eselect(
-                    normalized, req.qraw, condition, assume_normalized=True
-                )
-                return result.ids, result.scores
-        return exact_topk_select(
-            normalized,
-            candidates,
-            req.qvec,
-            condition.k,
-            min_similarity=condition.min_similarity,
-        )
 
     def _block_rows(self, ctx, batch: int) -> int:
         """Rows per shared-scan block under the configured buffer budget."""

@@ -824,12 +824,10 @@ class QueryService:
             query = store.embed_items([query])[0]
         if query.ndim != 1:
             return None  # let the serial path raise its usual error
-        qraw = np.asarray(query, dtype=np.float32)
         return SharedScanRequest(
             node=node,
             wrappers=wrappers,
-            qvec=normalize_vector(qraw),
-            qraw=qraw,
+            qvec=normalize_vector(np.asarray(query, dtype=np.float32)),
             tag=tag,
             # The group leader executes on *its* thread; handing the
             # ambient trace over lets it attribute the shared scan back.

@@ -6,9 +6,9 @@ are encoded with the flight recorder's plan wire format
 (:func:`repro.obs.capture._encode_query`): float32 values widen to
 float64 exactly, so a query crossing the pipe is *the same* query — the
 bit-exactness contract the capture/replay loop already relies on holds
-for shard dispatch too.  Values the wire format does not know (fitted
-quantizers, which are plain-attribute picklable) pass through untouched
-and ride the pipe's own pickle.
+for shard dispatch too.  Values the wire format does not know (segment
+specs, which are plain dataclasses) pass through untouched and ride the
+pipe's own pickle.
 
 Every envelope carries a version stamp; a worker that receives a version
 it does not speak replies with an error instead of guessing.

@@ -4,9 +4,8 @@ The pool owns everything multiprocess about sharded execution:
 
 * **publishing** — each (table, column, model) scan source is normalized
   once, cut into contiguous row ranges by the catalog's
-  :class:`~repro.relational.catalog.ShardMap`, and its scan-ready
-  representations (fp32, and on demand fp16/int8/PQ) are copied into
-  shared-memory segments workers map zero-copy;
+  :class:`~repro.relational.catalog.ShardMap`, and its unit-fp32 matrix
+  is copied into a shared-memory segment workers map zero-copy;
 * **dispatch** — one scan task per worker, carried by the flight
   recorder's bit-exact wire format over pipes;
 * **merging** — per-query :class:`~repro.vector.topk.StreamingTopK`
@@ -21,12 +20,12 @@ The pool owns everything multiprocess about sharded execution:
   :class:`~repro.errors.ShardError`, which callers treat as "fall back
   to the exact in-process scan".
 
-Exactness: workers only produce candidate supersets.  For quantized
-precisions the pool widens thresholds by the store's provable score
-error bound before dispatch and widens the merged heap floor by the same
-bound after, so the front door's existing margin guard and float64 exact
-rescore make the final rows a pure function of (data, query, condition)
-— bit-identical to serial for every precision.
+Exactness: workers only produce candidate supersets, scored with the
+same ``queries @ rows.T`` product as the in-process scan.  The pool is
+the ``scan`` callback of :func:`~repro.core.eselect.prescreen`, so the
+front door's completeness guard and exact rescore
+(:func:`~repro.core.eselect.rescore`) make the final rows bit-identical
+to serial.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from ..errors import ShardError
 from ..reliability.watchdog import WatchdogPolicy
 from ..vector.topk import StreamingTopK
 from .envelope import make_task, open_task
-from .store import SegmentOwner
+from .store import SegmentOwner, SegmentSpec
 from .worker import worker_main
 
 
@@ -53,7 +52,6 @@ class ShardScanResult:
 
     heap_ids: np.ndarray          # (n_topk_rows, width) int64, best first
     heap_scores: np.ndarray       # (n_topk_rows, width) float32
-    heap_floor: np.ndarray        # (n_topk_rows,) effective floor incl. bound
     thr_hits: list[np.ndarray]    # per threshold row, ascending global ids
     n_shards: int
     blocks: int
@@ -84,18 +82,7 @@ class ShardPoolStats:
     reenqueued: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "scans": self.scans,
-            "declined": self.declined,
-            "publishes": self.publishes,
-            "tasks": self.tasks,
-            "rows_scanned": self.rows_scanned,
-            "errors": self.errors,
-            "stalls": self.stalls,
-            "worker_deaths": self.worker_deaths,
-            "respawns": self.respawns,
-            "reenqueued": self.reenqueued,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -104,15 +91,8 @@ class _Manifest:
 
     version: int
     n_rows: int
-    dim: int
     ranges: tuple
-    specs: dict = field(default_factory=dict)        # precision -> SegmentSpec
-    quantizers: dict = field(default_factory=dict)   # "int8"/"pq" -> quantizer
-    bounds: dict = field(default_factory=dict)       # precision -> float
-
-
-#: Supported shard-scan precisions, in publish-cost order.
-SHARD_PRECISIONS = ("fp32", "fp16", "int8", "pq")
+    spec: SegmentSpec
 
 
 class ShardPool:
@@ -204,82 +184,42 @@ class ShardPool:
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
-    def publish(self, key: tuple, precisions=("fp32",)) -> _Manifest:
-        """Publish (or refresh) the scan stores for one source key.
+    def _publish_locked(self, key: tuple) -> _Manifest:
+        """Publish (or refresh) the fp32 scan store for one source key.
 
-        Idempotent per (catalog version, precision); a version bump
-        unlinks the stale segments and re-publishes from the current
-        table.  Returns the owner-side manifest.
+        Idempotent per catalog version; a version bump unlinks the stale
+        segment and re-publishes from the current table.
         """
-        with self._lock:
-            if self._closed:
-                raise ShardError("shard pool is closed")
-            return self._publish_locked(tuple(key), tuple(precisions))
-
-    def _publish_locked(self, key: tuple, precisions: tuple) -> _Manifest:
         from ..algebra.physical_planner import _embed_column
 
         table_name, column, model_name = key
         ctx = self.engine.context(tag=f"shard/publish/{table_name}.{column}")
         version = ctx.catalog.version(table_name)
         manifest = self._manifests.get(key)
-        if manifest is not None and manifest.version != version:
-            for spec in manifest.specs.values():
-                self._owner.unlink(spec.name)
-            manifest = None
+        if manifest is not None:
+            if manifest.version == version:
+                return manifest
+            self._owner.unlink(manifest.spec.name)
             self._manifests.pop(key, None)
             self._publish_msgs.pop(key, None)
-        missing = [
-            p for p in precisions
-            if manifest is None or p not in manifest.specs
-        ]
-        if manifest is not None and not missing:
-            return manifest
 
         table = ctx.catalog.get(table_name)
         vectors = _embed_column(table, column, model_name, ctx)
         normalized = ctx.normalized_matrix_for(key, vectors)
-        if manifest is None:
-            shard_map = ctx.catalog.shard_map(table_name, self.n_procs)
-            manifest = _Manifest(
-                version=version,
-                n_rows=len(normalized),
-                dim=int(normalized.shape[1]) if normalized.ndim == 2 else 0,
-                ranges=shard_map.ranges,
-            )
-            self._manifests[key] = manifest
-        for precision in missing:
-            if precision == "fp32":
-                manifest.specs[precision] = self._owner.publish(normalized)
-                manifest.bounds[precision] = 0.0
-            elif precision == "fp16":
-                half = normalized.astype(np.float16)
-                err = normalized - half.astype(np.float32)
-                resid = (
-                    float(np.sqrt(np.einsum("ij,ij->i", err, err)).max())
-                    if len(err)
-                    else 0.0
-                )
-                manifest.specs[precision] = self._owner.publish(half)
-                # Cauchy-Schwarz over unit queries, plus GEMM noise slack.
-                manifest.bounds[precision] = resid + 1e-5
-            elif precision in ("int8", "pq"):
-                store = ctx.quant_store_for(key, vectors, precision)
-                manifest.specs[precision] = self._owner.publish(store.codes)
-                manifest.quantizers[precision] = store.quantizer
-                manifest.bounds[precision] = float(
-                    store.quantizer.score_error_bound()
-                )
-            else:
-                raise ShardError(f"unknown shard precision {precision!r}")
+        manifest = _Manifest(
+            version=version,
+            n_rows=len(normalized),
+            ranges=ctx.catalog.shard_map(table_name, self.n_procs).ranges,
+            spec=self._owner.publish(normalized),
+        )
+        self._manifests[key] = manifest
 
         message = make_task(
             "publish",
             key=list(key),
             version=version,
             ranges=[list(r) for r in manifest.ranges],
-            specs=dict(manifest.specs),
-            quantizers=dict(manifest.quantizers),
+            spec=manifest.spec,
         )
         self._publish_msgs[key] = message
         self.stats.publishes += 1
@@ -319,14 +259,11 @@ class ShardPool:
         thr_rows,
         thr_floors: np.ndarray,
         block_rows: int,
-        precision: str = "fp32",
     ) -> ShardScanResult | None:
         """Fan one coalesced scan out; ``None`` means "stay in-process".
 
-        ``thr_floors`` are the front door's margin-adjusted thresholds;
-        the pool subtracts the store's score error bound before dispatch
-        and adds it back onto the merged heap floor, keeping the
-        candidate sets provable supersets for every precision.
+        Arguments are :func:`~repro.vector.scan.reduce_candidates`'s, with
+        ``thr_floors`` the front door's margin-adjusted thresholds.
         """
         queries = np.ascontiguousarray(queries, dtype=np.float32)
         dim = int(queries.shape[1]) if queries.ndim == 2 else 0
@@ -344,7 +281,6 @@ class ShardPool:
                     tuple(key), queries, n_rows=n_rows,
                     topk_rows=topk_rows, kpad=kpad, thr_rows=thr_rows,
                     thr_floors=thr_floors, block_rows=block_rows,
-                    precision=precision,
                 )
             except ShardError:
                 self.stats.errors += 1
@@ -352,19 +288,15 @@ class ShardPool:
 
     def _scan_locked(
         self, key, queries, *, n_rows, topk_rows, kpad, thr_rows,
-        thr_floors, block_rows, precision,
+        thr_floors, block_rows,
     ) -> ShardScanResult | None:
-        manifest = self._publish_locked(key, (precision,))
+        manifest = self._publish_locked(key)
         if manifest.n_rows != n_rows:
             # The table changed under us mid-flight; the caller's exact
             # in-process path is the safe answer.
             return None
-        bound = manifest.bounds[precision]
         topk_rows = np.asarray(topk_rows, dtype=np.int64)
         thr_rows = np.asarray(thr_rows, dtype=np.int64)
-        adj_floors = (
-            np.asarray(thr_floors, dtype=np.float32) - np.float32(bound)
-        )
         self._task_seq += 1
         task_id = self._task_seq
         task = make_task(
@@ -372,12 +304,11 @@ class ShardPool:
             task_id=task_id,
             key=list(key),
             version=manifest.version,
-            precision=precision,
             queries=queries,
             topk_rows=topk_rows,
             kpad=int(max(1, kpad)),
             thr_rows=thr_rows,
-            thr_floors=adj_floors,
+            thr_floors=np.asarray(thr_floors, dtype=np.float32),
             block_rows=int(block_rows),
             heartbeat_s=self.policy.stall_s / 4.0 if self.policy.enabled
             else 1.0,
@@ -428,10 +359,6 @@ class ShardPool:
         self.stats.rows_scanned += rows
 
         heap_ids, heap_scores = heap.finalize()
-        if heap_scores.shape[1]:
-            heap_floor = heap_scores.min(axis=1) + np.float32(bound)
-        else:
-            heap_floor = np.full(len(topk_rows), -np.inf, dtype=np.float32)
         thr_hits = [
             np.concatenate(p) if p else np.empty(0, dtype=np.int64)
             for p in pools
@@ -439,7 +366,6 @@ class ShardPool:
         return ShardScanResult(
             heap_ids=heap_ids,
             heap_scores=heap_scores,
-            heap_floor=heap_floor,
             thr_hits=thr_hits,
             n_shards=self.n_procs,
             blocks=blocks,
@@ -543,9 +469,6 @@ class ShardPool:
         snap["segments"] = len(self._owner.segment_names())
         snap["alive"] = sum(1 for w in self._workers if w.proc.is_alive())
         return snap
-
-    def segment_names(self) -> list[str]:
-        return self._owner.segment_names()
 
     def close(self, timeout_s: float = 5.0) -> None:
         """Shut workers down and unlink every published segment.

@@ -1,8 +1,7 @@
 """Shared-memory column stores: publish once, map zero-copy everywhere.
 
-The pool owner copies each scan-ready representation of a column — the
-unit-normalized fp32 matrix, its fp16 cast, int8 affine codes, PQ codes —
-into one ``multiprocessing.shared_memory`` segment per array.  Workers
+The pool owner copies each column's unit-normalized fp32 matrix into one
+``multiprocessing.shared_memory`` segment.  Workers
 map the segments and wrap them as read-only numpy views: after the one
 publish copy, fanning a scan out to N processes moves no column data at
 all, only task envelopes.  That is what lets process parallelism beat

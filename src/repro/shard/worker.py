@@ -3,12 +3,13 @@
 ``worker_main`` is the spawn entry point — a top-level function with
 picklable arguments only, so it works under every start method.  The
 worker is deliberately dumb: it holds zero-copy views over published
-segments, and for each scan task it runs the same blocked reducer as the
-in-process coalesced scan (:func:`~repro.vector.scan.reduce_candidates`)
-over its shard's row range, folding candidates into a bounded per-query
+fp32 segments, and for each scan task it runs the same blocked reducer
+over the same ``queries @ rows.T`` product as the in-process coalesced
+scan (:func:`~repro.vector.scan.reduce_candidates`) over its shard's row
+range, folding candidates into a bounded per-query
 :class:`~repro.vector.topk.StreamingTopK`.  All exactness decisions
-(margins, error bounds, exact rescoring) stay at the front door; the
-worker only ever produces candidate supersets.
+(margins, the completeness guard, exact rescoring) stay at the front
+door; the worker only ever produces candidate supersets.
 
 Liveness: during a scan the worker emits heartbeat envelopes between
 blocks, so the pool's watchdog can tell "slow but alive" from "stuck"
@@ -17,7 +18,6 @@ without guessing from wall-clock alone.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -26,25 +26,6 @@ from ..errors import ShardError
 from ..vector.scan import reduce_candidates
 from .envelope import make_task, open_task
 from .store import AttachedSegment
-
-
-def _scorer(precision: str, views: dict, queries: np.ndarray):
-    """``score(start, stop)`` over this shard's store for ``queries``.
-
-    Per-query state (int8 query codes, PQ lookup tables) is built once.
-    """
-    if precision == "int8":
-        quantizer, codes = views["int8_quantizer"], views["int8"].array
-        prepared = quantizer.prepare_queries(queries)
-        return lambda s, e: quantizer.scores_block(prepared, codes[s:e])
-    if precision == "pq":
-        quantizer, codes = views["pq_quantizer"], views["pq"].array
-        luts_t = quantizer.lookup_tables(queries).T
-        return lambda s, e: np.asarray((quantizer.onehot(codes[s:e]) @ luts_t).T)
-    if precision in ("fp32", "fp16"):
-        rows = views[precision].array
-        return lambda s, e: queries @ rows[s:e].astype(np.float32, copy=False).T
-    raise ShardError(f"unknown shard scan precision {precision!r}")
 
 
 def _run_scan(conn, shard_id: int, tables: dict, payload: dict) -> dict:
@@ -57,12 +38,7 @@ def _run_scan(conn, shard_id: int, tables: dict, payload: dict) -> dict:
             f"shard {shard_id} store for {key} is at version "
             f"{entry['version']}, task wants {payload['version']}"
         )
-    precision = payload["precision"]
-    views = entry["views"]
-    if precision not in views:
-        raise ShardError(
-            f"shard {shard_id} store for {key} lacks precision {precision!r}"
-        )
+    rows = entry["segment"].array
     lo, hi = entry["ranges"][shard_id]
     queries = np.ascontiguousarray(payload["queries"], dtype=np.float32)
     block_rows = max(1, int(payload["block_rows"]))
@@ -79,7 +55,7 @@ def _run_scan(conn, shard_id: int, tables: dict, payload: dict) -> dict:
 
     # No engine: blocks run inline (processes replace threads here).
     heap_ids, heap_scores, thr_hits = reduce_candidates(
-        _scorer(precision, views, queries), lo, hi, block_rows,
+        lambda s, e: queries @ rows[s:e].T, lo, hi, block_rows,
         np.asarray(payload["topk_rows"], dtype=np.intp), int(payload["kpad"]),
         np.asarray(payload["thr_rows"], dtype=np.intp),
         np.asarray(payload["thr_floors"], dtype=np.float32),
@@ -102,18 +78,11 @@ def _attach_store(tables: dict, payload: dict) -> None:
     key = tuple(payload["key"])
     old = tables.pop(key, None)
     if old is not None:
-        for view in old["views"].values():
-            if isinstance(view, AttachedSegment):
-                view.close()
-    views: dict = {}
-    for precision, spec in payload["specs"].items():
-        views[precision] = AttachedSegment(spec)
-    for name, quantizer in (payload.get("quantizers") or {}).items():
-        views[f"{name}_quantizer"] = quantizer
+        old["segment"].close()
     tables[key] = {
         "version": payload["version"],
         "ranges": [tuple(r) for r in payload["ranges"]],
-        "views": views,
+        "segment": AttachedSegment(payload["spec"]),
     }
 
 
@@ -131,11 +100,7 @@ def worker_main(conn, shard_id: int) -> None:
                 if kind == "shutdown":
                     conn.send(make_task("bye", shard=shard_id))
                     break
-                if kind == "ping":
-                    conn.send(make_task(
-                        "pong", shard=shard_id, pid=os.getpid()
-                    ))
-                elif kind == "publish":
+                if kind == "publish":
                     _attach_store(tables, payload)
                     conn.send(make_task(
                         "published",
@@ -160,9 +125,7 @@ def worker_main(conn, shard_id: int) -> None:
                     break
     finally:
         for entry in tables.values():
-            for view in entry["views"].values():
-                if isinstance(view, AttachedSegment):
-                    view.close()
+            entry["segment"].close()
         try:
             conn.close()
         except OSError:

@@ -8,10 +8,13 @@ from repro.core import (
     TopKCondition,
     eselect,
     eselect_index,
+    exact_threshold_select,
+    exact_topk_select,
 )
 from repro.errors import DimensionalityError, JoinError
 from repro.index import FlatIndex, HNSWIndex
 from repro.vector import normalize_rows
+from repro.workloads import unit_vectors
 
 
 @pytest.fixture()
@@ -70,6 +73,60 @@ class TestScanSelection:
         assert result.stats.strategy == "eselect/scan"
         assert result.stats.similarity_evaluations == len(relation)
         assert result.stats.pairs_emitted == len(result)
+
+
+def _reference(normalized, query, condition):
+    """Exact selection over every row: what any candidate superset yields."""
+    all_rows = np.arange(len(normalized))
+    if isinstance(condition, ThresholdCondition):
+        return exact_threshold_select(
+            normalized, all_rows, query, condition.threshold
+        )
+    return exact_topk_select(normalized, all_rows, query, condition.k)
+
+
+def _assert_matches_reference(relation, query, condition):
+    normalized = normalize_rows(relation)
+    got = eselect(normalized, query, condition, assume_normalized=True)
+    ids_ref, scores_ref = _reference(normalized, query, condition)
+    assert np.array_equal(got.ids, ids_ref)
+    assert np.array_equal(got.scores, scores_ref)
+    return got
+
+
+class TestScanEdgeInputs:
+    """Inputs that stress the prescreen's heap and completeness guard."""
+
+    @pytest.mark.parametrize(
+        "condition",
+        [TopKCondition(5), TopKCondition(64), ThresholdCondition(0.0)],
+        ids=["top5", "top64", "threshold"],
+    )
+    def test_all_tied_relation(self, condition):
+        # Every row scores the same: the prescreen heap holds only ties.
+        relation = np.repeat(unit_vectors(1, 8, seed=7), 400, axis=0)
+        query = unit_vectors(1, 8, seed=8)[0]
+        got = _assert_matches_reference(relation, query, condition)
+        if isinstance(condition, TopKCondition):
+            assert got.ids.tolist() == list(range(condition.k))
+
+    @pytest.mark.parametrize("k", [400, 1000])
+    def test_k_at_least_n(self, k):
+        relation = unit_vectors(400, 8, seed=9)
+        query = unit_vectors(1, 8, seed=10)[0]
+        got = _assert_matches_reference(relation, query, TopKCondition(k))
+        assert len(got) == 400
+
+    @pytest.mark.parametrize(
+        "condition",
+        [TopKCondition(3), ThresholdCondition(0.1)],
+        ids=["topk", "threshold"],
+    )
+    def test_empty_relation(self, condition):
+        relation = np.empty((0, 8), dtype=np.float32)
+        query = unit_vectors(1, 8, seed=11)[0]
+        got = _assert_matches_reference(relation, query, condition)
+        assert len(got) == 0
 
 
 class TestIndexSelection:

@@ -7,10 +7,15 @@ import threading
 import numpy as np
 import pytest
 
+from repro.embedding import HashingEmbedder
 from repro.engine import ExecutionEngine
+from repro.query import Engine
+from repro.relational import Catalog, DataType, Field, Table
+from repro.relational.column import Column
 from repro.service import QueryService, unwrap_shared_scan
+from repro.workloads import unit_vectors
 
-from _service_utils import MODEL, assert_tables_equal
+from _service_utils import DIM, MODEL, assert_tables_equal
 
 pytestmark = pytest.mark.service
 
@@ -276,27 +281,34 @@ def test_group_error_propagates_to_all_members(
     assert service.stats.failed == 4
 
 
-def test_fallback_path_still_exact(service_engine, query_vectors, monkeypatch):
-    """Force the completeness-guard fallback and check exactness holds."""
-    import repro.service.coalescer as mod
-
-    service = QueryService(
-        service_engine, coalesce=True, coalesce_window_s=0.05,
-        result_cache_size=0,
+def test_fallback_path_still_exact():
+    """A heap of exact ties defeats the completeness guard; the widen is exact."""
+    # 8 unit vectors x 50 exact copies: the 37-row top-k heap (k + pad)
+    # holds only ties, so its floor equals the k-th exact score and cannot
+    # prove that none of the dropped copies belongs in the top-k.
+    base = unit_vectors(8, DIM, stream="svc-tests/dupes")
+    vectors = np.repeat(base, 50, axis=0)
+    catalog = Catalog()
+    catalog.register(
+        "corpus",
+        Table.from_columns(
+            [
+                Column(Field("id", DataType.INT64), np.arange(len(vectors))),
+                Column(Field("emb", DataType.TENSOR, dim=DIM), vectors),
+            ]
+        ),
     )
-    original = mod.CoalescingScheduler._demux_topk
+    engine = Engine(catalog)
+    engine.models.register(MODEL, HashingEmbedder(dim=DIM))
+    noise = unit_vectors(1, DIM, stream="svc-tests/dupes-noise")[0]
+    query = base[3] + np.float32(0.05) * noise
+    query /= np.linalg.norm(query)
 
-    def paranoid(self, normalized, candidates, heap_floor, req, condition, n):
-        # Pretend the heap floor proves nothing: always fall back.
-        return original(self, normalized, candidates, np.inf, req, condition, n)
-
-    monkeypatch.setattr(mod.CoalescingScheduler, "_demux_topk", paranoid)
-    serial = [_serial(service_engine, q, top_k=5) for q in query_vectors[:6]]
-    got = _concurrent(
-        service, [(q, {"top_k": 5}) for q in query_vectors[:6]]
-    )
-    for i, (a, b) in enumerate(zip(serial, got)):
-        assert_tables_equal(a, b, context=f"query {i}")
+    service = QueryService(engine, coalesce=True, result_cache_size=0)
+    serial = _serial(engine, query, top_k=5)
+    (got,) = _concurrent(service, [(query, {"top_k": 5})])
+    assert_tables_equal(serial, got, context="tied copies")
+    assert got.array("id").tolist() == list(range(150, 155))
     assert service.coalescer.stats.fallbacks >= 1
 
 

@@ -29,7 +29,6 @@ def _scan(pool, queries):
         thr_rows=[],
         thr_floors=np.empty(0, dtype=np.float32),
         block_rows=512,
-        precision="fp32",
     )
 
 
@@ -62,7 +61,9 @@ def test_killed_worker_respawns_and_results_stay_exact(query_vectors):
         all_rows = np.arange(N_ROWS)
         for j, qvec in enumerate(query_vectors):
             ids_ref, scores_ref = exact_topk_select(normalized, all_rows, qvec, K)
-            assert result.heap_floor[j] <= np.min(scores_ref) - PRESCREEN_MARGIN
+            assert (
+                result.heap_scores[j].min() <= np.min(scores_ref) - PRESCREEN_MARGIN
+            )
             ids_got, scores_got = exact_topk_select(
                 normalized, result.heap_ids[j], qvec, K
             )

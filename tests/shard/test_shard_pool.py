@@ -1,11 +1,10 @@
-"""ShardPool: fan-out exactness across precisions, costing, and hygiene.
+"""ShardPool: fan-out exactness, costing, and hygiene.
 
 Exactness here means the end-to-end contract: pool candidates are
 provable supersets, and the front door's float64 exact rescore over them
 (:func:`exact_topk_select` / :func:`exact_threshold_select`) yields ids
-and scores bit-identical to the same rescore over *all* rows — for every
-published precision, on a corpus built so every score ties across the
-shard boundary.
+and scores bit-identical to the same rescore over *all* rows, on a
+corpus built so every score ties across the shard boundary.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import pytest
 
 from _shard_utils import KEY, N_ROWS, corpus_vectors, make_engine, normalized_for
 from repro.core import PRESCREEN_MARGIN, exact_threshold_select, exact_topk_select
-from repro.shard import SHARD_PRECISIONS, ShardPool, leaked_segments
+from repro.shard import ShardPool, leaked_segments
 
 pytestmark = pytest.mark.shard
 
@@ -34,7 +33,7 @@ def setup():
     pool.close()
 
 
-def _scan(pool, queries, precision="fp32", *, kpad=KPAD):
+def _scan(pool, queries, *, kpad=KPAD):
     nq = len(queries)
     return pool.scan_candidates(
         KEY,
@@ -45,37 +44,34 @@ def _scan(pool, queries, precision="fp32", *, kpad=KPAD):
         thr_rows=list(range(nq)),
         thr_floors=np.full(nq, THRESHOLD - PRESCREEN_MARGIN, dtype=np.float32),
         block_rows=BLOCK_ROWS,
-        precision=precision,
     )
 
 
 class TestExactness:
-    @pytest.mark.parametrize("precision", SHARD_PRECISIONS)
     def test_rescored_results_bit_identical_to_serial(
-        self, setup, query_vectors, precision
+        self, setup, query_vectors
     ):
         engine, pool, normalized = setup
-        result = _scan(pool, query_vectors, precision)
+        result = _scan(pool, query_vectors)
         assert result is not None, "pool declined a fan-out-worthy scan"
         assert result.n_shards == 2
         assert result.rows == N_ROWS  # the shards partition every row once
         all_rows = np.arange(N_ROWS)
-        compared = 0
+        heap_floor = result.heap_scores.min(axis=1)
         for j, qvec in enumerate(query_vectors):
             ids_ref, scores_ref = exact_topk_select(normalized, all_rows, qvec, K)
             kth = np.min(scores_ref) if len(scores_ref) else -np.inf
-            # Soundness first, for every precision: any row the shards
-            # dropped must provably score at or below the merged floor.
+            # Soundness first: any row the shards dropped must provably
+            # score at or below the merged floor.
             dropped = np.setdiff1d(all_rows, result.heap_ids[j])
             exact_dropped = normalized[dropped] @ np.asarray(
                 qvec, dtype=np.float64
             )
-            assert np.all(exact_dropped <= result.heap_floor[j] + 1e-5), (
-                f"query {j} precision {precision}: dropped row beats the "
-                f"merged heap floor"
+            assert np.all(exact_dropped <= heap_floor[j] + 1e-5), (
+                f"query {j}: dropped row beats the merged heap floor"
             )
             # Threshold hits are supersets independent of the top-k floor,
-            # so their exact rescore is bitwise-stable for every precision.
+            # so their exact rescore is bitwise-stable.
             thr_ids_ref, thr_scores_ref = exact_threshold_select(
                 normalized, all_rows, qvec, THRESHOLD
             )
@@ -84,32 +80,18 @@ class TestExactness:
             )
             assert np.array_equal(thr_ids_got, thr_ids_ref)
             assert np.array_equal(thr_scores_got, thr_scores_ref)
-            if result.heap_floor[j] > kth - PRESCREEN_MARGIN:
-                # The front door detects that the widened floor cannot
-                # prove the candidate set complete and falls back to the
-                # serial path — trivially exact.  fp32 has a zero error
-                # bound, so it must never need that escape hatch.
-                assert precision != "fp32", (
-                    f"query {j}: fp32 merged heap floor above the exact "
-                    f"k-th score"
-                )
-                continue
-            compared += 1
+            # The merged heap must prove itself complete: the front door
+            # never needs its widening rescan on this corpus.
+            assert heap_floor[j] <= kth - PRESCREEN_MARGIN, (
+                f"query {j}: merged heap floor above the exact k-th score"
+            )
             ids_got, scores_got = exact_topk_select(
                 normalized, result.heap_ids[j], qvec, K
             )
             assert np.array_equal(ids_got, ids_ref), (
-                f"query {j} precision {precision}: top-{K} ids diverge"
+                f"query {j}: top-{K} ids diverge"
             )
             assert np.array_equal(scores_got, scores_ref)
-        if precision != "pq":
-            # PQ's coarse error bound can legitimately push every query
-            # onto the fallback path at this corpus size; the tighter
-            # precisions must exercise the candidate rescore.
-            assert compared > 0, (
-                f"precision {precision}: every query fell back; the "
-                f"candidate path went untested"
-            )
 
     def test_cross_boundary_duplicates_both_kept(self, setup, query_vectors):
         _, pool, normalized = setup
