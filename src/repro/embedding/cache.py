@@ -27,13 +27,18 @@ class EmbeddingStore:
     per model, so the get-or-embed path is serialized by an internal lock —
     two threads racing on the same new items embed them exactly once, and
     readers never observe a half-updated ``items``/``vectors`` pair.
+
+    Vectors live in a capacity buffer that doubles when full, so a stream
+    of small adds (one new query string at a time, as the query service
+    issues them) costs amortized O(1) copies per row instead of one copy
+    of the whole store per add.
     """
 
     def __init__(self, model: EmbeddingModel) -> None:
         self.model = model
         self._items: list = []
         self._key_to_id: dict = {}
-        self._vectors = np.empty((0, model.dim), dtype=np.float32)
+        self._buffer = np.empty((0, model.dim), dtype=np.float32)
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -42,9 +47,9 @@ class EmbeddingStore:
 
     @property
     def vectors(self) -> np.ndarray:
-        """The ``(n, dim)`` embedding matrix (no copy)."""
+        """The ``(n, dim)`` embedding matrix (a view, no copy)."""
         with self._lock:
-            return self._vectors
+            return self._buffer[: len(self._items)]
 
     def add_items(self, items: list) -> np.ndarray:
         """Embed and store new items; returns their ids.
@@ -61,14 +66,18 @@ class EmbeddingStore:
                 uniques = [seen.setdefault(it, it) for it in new_items if it not in seen]
                 vectors = self.model.embed_batch(uniques)
                 base = len(self._items)
+                end = base + len(uniques)
+                if end > len(self._buffer):
+                    grown = np.empty(
+                        (max(end, 2 * len(self._buffer)), self.model.dim),
+                        dtype=np.float32,
+                    )
+                    grown[:base] = self._buffer[:base]
+                    self._buffer = grown
+                self._buffer[base:end] = vectors
                 for offset, item in enumerate(uniques):
                     self._key_to_id[item] = base + offset
                 self._items.extend(uniques)
-                self._vectors = (
-                    vectors
-                    if len(self._vectors) == 0
-                    else np.vstack([self._vectors, vectors])
-                )
             return np.asarray(
                 [self._key_to_id[it] for it in items], dtype=np.int64
             )
@@ -77,7 +86,7 @@ class EmbeddingStore:
         """Embeddings for ``items`` (adding any that are missing)."""
         with self._lock:
             ids = self.add_items(items)
-            return self._vectors[ids]
+            return self._buffer[ids]
 
     def id_of(self, item) -> int:
         with self._lock:
@@ -100,7 +109,7 @@ class EmbeddingStore:
             if len(self._items) == 0:
                 raise EmbeddingError("cannot decode against an empty store")
             vector = np.asarray(vector, dtype=np.float32)
-            sims = self._vectors @ vector
+            sims = self.vectors @ vector
             return self._items[int(np.argmax(sims))]
 
     def items(self) -> list:

@@ -21,7 +21,7 @@ import numpy as np
 from ..config import get_config
 from ..errors import ModelNotFittedError, VocabularyError
 from .base import EmbeddingModel
-from .hashing_model import char_ngrams, hash_ngram
+from .hashing_model import bucket_means, ngram_buckets
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -86,10 +86,13 @@ class FastTextModel(EmbeddingModel):
     # ------------------------------------------------------------------
     # Vocabulary / subword machinery
     # ------------------------------------------------------------------
-    def _gram_ids(self, word: str) -> np.ndarray:
-        grams = char_ngrams(word.lower(), self.n_min, self.n_max)
-        ids = sorted({hash_ngram(g, self.n_buckets) for g in grams})
-        return np.asarray(ids, dtype=np.int64)
+    def _gram_ids(self, words: list[str]) -> list[np.ndarray]:
+        """Sorted distinct n-gram bucket ids of each word."""
+        ids, counts = ngram_buckets(
+            [w.lower() for w in words], self.n_min, self.n_max, self.n_buckets
+        )
+        stops = np.cumsum(counts)
+        return [np.unique(ids[lo:hi]) for lo, hi in zip(stops - counts, stops)]
 
     def _build_vocab(self, sentences: list[list[str]], min_count: int) -> np.ndarray:
         counts: dict[str, int] = {}
@@ -103,7 +106,7 @@ class FastTextModel(EmbeddingModel):
                 f"no word occurs >= {min_count} times; corpus too small"
             )
         self._word_to_id = {w: i for i, w in enumerate(self._vocab)}
-        self._word_grams = [self._gram_ids(w) for w in self._vocab]
+        self._word_grams = self._gram_ids(self._vocab)
         freqs = np.asarray(
             [counts[w] for w in self._vocab], dtype=np.float64
         )
@@ -199,15 +202,14 @@ class FastTextModel(EmbeddingModel):
             raise ModelNotFittedError(
                 "FastTextModel.fit() must be called before embedding"
             )
-        out = np.empty((len(items), self.dim), dtype=np.float32)
-        for row, item in enumerate(items):
-            word = str(item).lower()
-            wid = self._word_to_id.get(word)
-            grams = (
-                self._word_grams[wid] if wid is not None else self._gram_ids(word)
-            )
-            out[row] = self._w_in[grams].mean(axis=0)
-        return out
+        words = [str(item).lower() for item in items]
+        wids = [self._word_to_id.get(word) for word in words]
+        oov = iter(self._gram_ids([w for w, wid in zip(words, wids) if wid is None]))
+        grams = [
+            self._word_grams[wid] if wid is not None else next(oov) for wid in wids
+        ]
+        counts = np.fromiter(map(len, grams), dtype=np.int64, count=len(grams))
+        return bucket_means(self._w_in, np.concatenate(grams), counts)
 
     def nearest_neighbors(
         self, word: str, k: int = 15, *, exclude_self: bool = True

@@ -9,6 +9,12 @@ from hypothesis import settings as _hypothesis_settings
 # Property tests explore deterministically so the tier-1 gate cannot flake
 # on a lucky random walk; per-test @settings still override other fields.
 _hypothesis_settings.register_profile("deterministic", derandomize=True)
+# CI explores ten times deeper (``--hypothesis-profile=ci``); tests that
+# pin ``max_examples`` keep their pin, the rest scale with the profile.
+_deterministic = _hypothesis_settings.get_profile("deterministic")
+_hypothesis_settings.register_profile(
+    "ci", parent=_deterministic, max_examples=10 * _deterministic.max_examples
+)
 _hypothesis_settings.load_profile("deterministic")
 
 from repro.embedding import HashingEmbedder

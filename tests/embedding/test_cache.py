@@ -41,6 +41,24 @@ class TestEmbedOnce:
         store.add_items(["a", "b"])
         assert store.vectors.shape == (2, 16)
 
+    def test_one_item_adds_match_one_bulk_add(self, store):
+        """Growing one row at a time reallocates O(log n) times and stores
+        exactly what a single bulk add stores."""
+        items = [f"item-{i}" for i in range(1000)]
+        ids = []
+        reallocations = 0
+        previous = None
+        for item in items:
+            ids.extend(store.add_items([item]).tolist())
+            current = store.vectors
+            if previous is not None and not np.shares_memory(current, previous):
+                reallocations += 1
+            previous = current
+        bulk = EmbeddingStore(HashingEmbedder(dim=16, seed=13))
+        assert ids == bulk.add_items(items).tolist()
+        assert np.array_equal(store.vectors, bulk.vectors)
+        assert reallocations <= 10  # capacity 1 -> 2 -> 4 -> ... -> 1024
+
 
 class TestDecode:
     def test_decode_id(self, store):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.embedding import FastTextModel, generate_corpus
+from repro.embedding import FastTextModel, char_ngrams, generate_corpus, hash_ngram
 from repro.errors import ModelNotFittedError, VocabularyError
 from repro.vector import cosine_vectorized
 
@@ -106,3 +106,18 @@ class TestSemantics:
     def test_embedding_normalized(self, model):
         vec = model.embed("sql")
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-4)
+
+
+class TestGramIds:
+    def test_word_grams_match_scalar_ids(self, model):
+        """The batched bucket pass yields each vocabulary word's sorted,
+        distinct scalar n-gram ids."""
+        assert len(model._word_grams) == len(model.vocabulary)
+        for word, grams in zip(model.vocabulary, model._word_grams):
+            expected = sorted(
+                {
+                    hash_ngram(g, model.n_buckets)
+                    for g in char_ngrams(word, model.n_min, model.n_max)
+                }
+            )
+            assert grams.tolist() == expected

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.embedding import HashingEmbedder, char_ngrams, hash_ngram
+from repro.embedding.hashing_model import ngram_buckets
 from repro.vector import cosine_vectorized
 
 
@@ -41,11 +42,31 @@ class TestHashNgram:
         assert len(buckets) > 95
 
 
+class TestNgramBuckets:
+    """The batched hash pass against the scalar definition it replaces."""
+
+    TOKENS = ["", "a", "ab", "cat", "database", "İi", "straße", "\U0001f600ok", "<>"]
+
+    @pytest.mark.parametrize("n_min,n_max", [(3, 5), (1, 1), (2, 7)])
+    def test_matches_scalar_grams_in_order(self, n_min, n_max):
+        ids, counts = ngram_buckets(self.TOKENS, n_min, n_max, 997)
+        expected = [
+            [hash_ngram(g, 997) for g in char_ngrams(t, n_min, n_max)]
+            for t in self.TOKENS
+        ]
+        assert counts.tolist() == [len(e) for e in expected]
+        assert ids.tolist() == [i for e in expected for i in e]
+
+    def test_empty_batch(self):
+        ids, counts = ngram_buckets([], 3, 5, 16)
+        assert ids.shape == counts.shape == (0,)
+
+
 class TestHashingEmbedder:
     def test_deterministic_across_instances(self):
         a = HashingEmbedder(dim=16, seed=5).embed("barbecue")
         b = HashingEmbedder(dim=16, seed=5).embed("barbecue")
-        assert np.allclose(a, b)
+        assert np.array_equal(a, b)
 
     def test_case_insensitive(self):
         model = HashingEmbedder(dim=16, seed=5)
@@ -54,8 +75,8 @@ class TestHashingEmbedder:
     def test_batch_matches_single(self):
         model = HashingEmbedder(dim=16, seed=5)
         batch = model.embed_batch(["alpha", "beta"])
-        assert np.allclose(batch[0], model.embed("alpha"))
-        assert np.allclose(batch[1], model.embed("beta"))
+        assert np.array_equal(batch[0], model.embed("alpha"))
+        assert np.array_equal(batch[1], model.embed("beta"))
 
     def test_misspelling_closer_than_unrelated(self):
         """Shared subwords pull edit-variants together (the FastText

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.embedding import EmbeddingStore, HashingEmbedder, pluralize
+from repro.embedding import (
+    EmbeddingStore,
+    HashingEmbedder,
+    char_ngrams,
+    hash_ngram,
+    pluralize,
+)
+from repro.vector import normalize_rows
 
 words = st.text(
     alphabet=st.characters(min_codepoint=97, max_codepoint=122),
@@ -60,6 +67,66 @@ class TestEmbedderProperties:
         assert float(base @ model.embed(plural)) >= float(
             base @ model.embed(unrelated)
         ) - 0.05
+
+
+def scalar_embed(model: HashingEmbedder, items: list) -> np.ndarray:
+    """The embedder's definition, one gram and one row at a time."""
+    rows = np.empty((len(items), model.dim), dtype=np.float32)
+    for row, item in enumerate(items):
+        grams = char_ngrams(str(item).lower(), model.n_min, model.n_max)
+        ids = [hash_ngram(g, model.n_buckets) for g in grams]
+        rows[row] = model._table[ids].mean(axis=0)
+    return normalize_rows(rows, copy=False)
+
+
+# Any Unicode text (no surrogates: they cannot be UTF-8 encoded), empty and
+# shorter-than-n_min strings included.
+unicode_text = st.text(st.characters(exclude_categories=["Cs"]), max_size=40)
+# Characters whose lowercase form changes length in characters or bytes.
+case_shifting = st.text(st.sampled_from("İẞΣσßﬃAa"), max_size=8)
+embed_items = st.one_of(
+    unicode_text,
+    case_shifting,
+    st.integers(),
+    st.floats(allow_nan=True),
+)
+hashing_models = st.builds(
+    HashingEmbedder,
+    dim=st.integers(2, 24),
+    n_buckets=st.sampled_from([1, 7, 97, 4096]),
+    n_min=st.integers(1, 4),
+    n_max=st.integers(4, 7),
+    seed=st.integers(0, 3),
+)
+
+
+class TestBatchedEmbedderDifferential:
+    """Batched ``embed_batch`` against the scalar definition, bit for bit.
+
+    Budgets come from the active hypothesis profile (the ``ci`` profile
+    runs ten times as many examples)."""
+
+    @given(model=hashing_models, items=st.lists(embed_items, min_size=1), data=st.data())
+    @settings(deadline=None)
+    def test_bit_identical_to_scalar_oracle(self, model, items, data):
+        # Duplicates and reorderings: a row must not depend on its batch.
+        batch = items + data.draw(st.lists(st.sampled_from(items), max_size=8))
+        expected = np.concatenate([scalar_embed(model, [item]) for item in batch])
+        assert np.array_equal(model.embed_batch(batch), expected)
+
+    @given(
+        prefix=unicode_text,
+        surrogate=st.characters(categories=["Cs"]),
+        suffix=unicode_text,
+    )
+    @settings(deadline=None)
+    def test_lone_surrogate_raises_in_both_paths(self, prefix, surrogate, suffix):
+        model = HashingEmbedder(dim=8, seed=1)
+        item = prefix + surrogate + suffix
+        with pytest.raises(UnicodeEncodeError):
+            scalar_embed(model, [item])
+        with pytest.raises(UnicodeEncodeError):
+            model.embed_batch(["fine", item])
 
 
 class TestStoreProperties:
